@@ -8,8 +8,8 @@ fixed-width vector of normalized pattern counts.
 
 from .bpe import MergeRule, Vocabulary, decode_pattern, encode, fit_bpe
 from .core import (ALL_VARIATIONS, Dataset, MultivariateMode, PipelineConfig,
-                   SymbolicSeries, TimeSeries, Variation, ingest_filter,
-                   parse_multivariate_mode, parse_variation)
+                   TimeSeries, Variation, ingest_filter, parse_multivariate_mode,
+                   parse_variation)
 from .discretize import Discretizer, apply_discretizer, fit_discretizer
 from .errors import DataError, NumericError, PdbpeError
 from .evaluate import (CvPlan, CvResult, FoldResult, GridPoint, accuracy,
@@ -35,7 +35,7 @@ __all__ = [
     "Discretizer", "FeatureDescriptor", "FeatureMatrix", "FeatureSchema",
     "FittedModel", "FoldResult", "GridPoint", "MergeRule", "MultivariateMode",
     "NumericError", "PdbpeError", "PipelineConfig", "RcsmMedians",
-    "SymbolicSeries", "TimeSeries", "Variation", "Vocabulary", "accuracy",
+    "TimeSeries", "Variation", "Vocabulary", "accuracy",
     "anova_f_rank", "apply_autoregressive", "apply_discretizer", "apply_rcs",
     "apply_rcsm", "auc_roc", "centroid_augment", "collapse_series",
     "cross_validate", "decode_pattern", "drop_zero_variance", "encode",

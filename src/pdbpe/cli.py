@@ -13,17 +13,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
-from .core import (ALL_VARIATIONS, Dataset, MultivariateMode, PipelineConfig,
-                   Variation, ingest_filter, parse_multivariate_mode,
-                   parse_variation)
+from .core import (Dataset, MultivariateMode, PipelineConfig, Variation,
+                   ingest_filter, parse_multivariate_mode, parse_variation)
 from .data_io import (attach_labels, read_config_file, read_data_csv,
                       read_features_csv, read_labels_csv, write_features_csv)
-from .errors import DataError, NumericError, PdbpeError
-from .evaluate import (CvPlan, grid_search, kfold_split, score_split)
+from .errors import DataError, NumericError, UsageError
+from .evaluate import cross_validate, kfold_split
 from .features import anova_f_rank
 from .model_io import load_model, save_model
 from .pipeline import (FittedModel, fit_pipeline, pattern_spans,
@@ -44,16 +42,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-class UsageError(PdbpeError):
-    """Bad flag combination detected after parsing."""
-
-
 # ---------------------------------------------------------------------------
 # Config assembly
-
-_CONFIG_KEYS = ("K", "W", "P", "U", "correlation_threshold", "iqr_multiplier",
-                "variations", "multivariate_mode")
-
 
 def _parse_int(raw: str, key: str) -> int:
     try:
@@ -69,56 +59,42 @@ def _parse_float(raw: str, key: str) -> float:
         raise DataError(f"config {key}: expected a number, got {raw!r}") from None
 
 
-def _parse_variations(raw: str) -> tuple[Variation, ...]:
+def _parse_variations(raw: str, key: str) -> tuple[Variation, ...]:
     names = [p for p in (s.strip() for s in raw.split(",")) if p]
     if not names:
-        raise DataError("variations: empty list")
+        raise DataError(f"{key}: empty list")
     return tuple(parse_variation(name) for name in names)
+
+
+# Config key -> (flag attribute, parser of its text form).
+_CONFIG_KEYS = {
+    "K": ("k", _parse_int),
+    "W": ("w", _parse_int),
+    "P": ("p", _parse_float),
+    "U": ("u", _parse_float),
+    "correlation_threshold": ("corr_threshold", _parse_float),
+    "iqr_multiplier": ("iqr_multiplier", _parse_float),
+    "variations": ("variations", _parse_variations),
+    "multivariate_mode": ("multivariate_mode",
+                          lambda raw, key: parse_multivariate_mode(raw)),
+}
 
 
 def _config_fields(args) -> dict:
     """Merge config file values with CLI flags (flags win)."""
-    fields: dict = {}
+    raw: dict = {}
     if getattr(args, "config", None):
         raw = read_config_file(args.config)
         unknown = set(raw) - set(_CONFIG_KEYS)
         if unknown:
             raise DataError(f"{args.config}: unknown config keys {sorted(unknown)}")
-        if "K" in raw:
-            fields["K"] = _parse_int(raw["K"], "K")
-        if "W" in raw:
-            fields["W"] = _parse_int(raw["W"], "W")
-        if "P" in raw:
-            fields["P"] = _parse_float(raw["P"], "P")
-        if "U" in raw:
-            fields["U"] = _parse_float(raw["U"], "U")
-        if "correlation_threshold" in raw:
-            fields["correlation_threshold"] = _parse_float(
-                raw["correlation_threshold"], "correlation_threshold")
-        if "iqr_multiplier" in raw:
-            fields["iqr_multiplier"] = _parse_float(raw["iqr_multiplier"],
-                                                    "iqr_multiplier")
-        if "variations" in raw:
-            fields["variations"] = _parse_variations(raw["variations"])
-        if "multivariate_mode" in raw:
-            fields["multivariate_mode"] = parse_multivariate_mode(
-                raw["multivariate_mode"])
-    if args.k is not None:
-        fields["K"] = args.k
-    if args.w is not None:
-        fields["W"] = args.w
-    if args.p is not None:
-        fields["P"] = args.p
-    if args.u is not None:
-        fields["U"] = args.u
-    if args.corr_threshold is not None:
-        fields["correlation_threshold"] = args.corr_threshold
-    if args.iqr_multiplier is not None:
-        fields["iqr_multiplier"] = args.iqr_multiplier
-    if args.variations is not None:
-        fields["variations"] = _parse_variations(args.variations)
-    if args.multivariate_mode is not None:
-        fields["multivariate_mode"] = parse_multivariate_mode(args.multivariate_mode)
+    fields = {key: parse(raw[key], key)
+              for key, (_attr, parse) in _CONFIG_KEYS.items() if key in raw}
+    for key, (attr, parse) in _CONFIG_KEYS.items():
+        flag = getattr(args, attr)
+        if flag is not None:
+            # Numeric flags arrive typed from argparse; the rest are text.
+            fields[key] = parse(flag, key) if isinstance(flag, str) else flag
     return fields
 
 
@@ -186,8 +162,7 @@ def cmd_discover(args) -> int:
                   f"{vocab.base_size + n_pat} features "
                   f"(stop threshold {vocab.stop_threshold:.12g}, "
                   f"T={vocab.initial_pair_slots}, N={vocab.n_series})")
-    emitted = sum(1 for c in model.schema.columns if c.is_pattern)
-    identified = sum(len(v.rules) for v in model.vocabularies.values())
+    identified, emitted = model.pattern_counts()
     print(f"support filter: {emitted} of {identified} patterns kept "
           f"(min support {model.n_training_series * config.P:.12g} series)")
     n_raw = len(model.schema.columns)
@@ -360,25 +335,9 @@ def cmd_evaluate(args) -> int:
     dropped = len(dataset) - len(labeled)
     if len(labeled) == 0:
         raise DataError("no labeled series to evaluate")
-    raw_labels = [str(ts.label) for ts in labeled]
     task = args.task
     if task == "auto":
-        task = _detect_task(raw_labels)
-    if task == "regression":
-        for ts in labeled:
-            try:
-                float(ts.label)
-            except (TypeError, ValueError):
-                raise DataError(f"series {ts.id!r}: label {ts.label!r} is not "
-                                "numeric but the task is regression") from None
-    metric = args.metric
-    if metric is None:
-        metric = "rmse" if task == "regression" else "accuracy"
-    if task == "regression" and metric != "rmse":
-        raise UsageError(f"metric {metric!r} is not valid for regression")
-    if task == "classification" and metric not in ("accuracy", "auc"):
-        raise UsageError(f"metric {metric!r} is not valid for classification")
-
+        task = _detect_task([str(ts.label) for ts in labeled])
     group_ids = None
     if args.group_aware:
         missing = [ts.id for ts in labeled if ts.group_id is None]
@@ -388,6 +347,12 @@ def cmd_evaluate(args) -> int:
         group_ids = [ts.group_id for ts in labeled]
     plan = kfold_split(labeled.ids, args.folds, seed=args.seed,
                        group_ids=group_ids)
+    result = cross_validate(
+        labeled, base_config, plan, task, metric=args.metric, knn_k=args.knn_k,
+        ridge_lambda=args.ridge_lambda, positive_label=args.positive_label,
+        centroids=args.centroids, k_grid=k_grid, w_grid=w_grid,
+        inner_folds=args.inner_folds)
+    metric = result.metric
 
     lines: list[str] = []
     lines.append("pdbpe evaluation report")
@@ -410,46 +375,14 @@ def cmd_evaluate(args) -> int:
         f"mode={base_config.multivariate_mode.value}"
         + (" centroids=yes" if args.centroids else ""))
 
-    nested = len(k_grid) > 1 or len(w_grid) > 1
-    values = []
-    for fold in range(plan.k):
-        train = Dataset(tuple(ts for ts in labeled
-                              if plan.assignment[ts.id] != fold))
-        test = Dataset(tuple(ts for ts in labeled
-                             if plan.assignment[ts.id] == fold))
-        if nested:
-            inner_groups = ([ts.group_id for ts in train]
-                            if plan.group_aware else None)
-            inner_plan = kfold_split(train.ids, args.inner_folds,
-                                     seed=plan.seed + 101 + fold,
-                                     group_ids=inner_groups)
-            config, _table = grid_search(
-                train, k_grid, w_grid, inner_plan, task, base_config,
-                metric=metric, knn_k=args.knn_k, ridge_lambda=args.ridge_lambda,
-                positive_label=args.positive_label, centroids=args.centroids)
-        else:
-            config = replace(base_config, K=k_grid[0], W=w_grid[0])
-        model, train_matrix = fit_pipeline(train, config,
-                                           centroids=args.centroids)
-        test_matrix = transform_dataset(model, test)
-        y_train = ([float(ts.label) for ts in train] if task == "regression"
-                   else [str(ts.label) for ts in train])
-        y_test = ([float(ts.label) for ts in test] if task == "regression"
-                  else [str(ts.label) for ts in test])
-        value = score_split(train_matrix.values, y_train, test_matrix.values,
-                            y_test, task, metric, knn_k=args.knn_k,
-                            ridge_lambda=args.ridge_lambda,
-                            positive_label=args.positive_label)
-        identified = sum(len(v.rules) for v in model.vocabularies.values())
-        emitted = sum(1 for c in model.schema.columns if c.is_pattern)
-        values.append(value)
-        lines.append(f"fold {fold}: K={config.K} W={config.W} "
-                     f"n_train={len(train)} n_test={len(test)} "
-                     f"features={len(train_matrix.names)} "
-                     f"patterns_identified={identified} "
-                     f"patterns_emitted={emitted} "
-                     f"{metric}={value:.6f}")
-    lines.append(f"mean {metric}: {float(np.mean(values)):.6f}")
+    for f in result.folds:
+        lines.append(f"fold {f.fold}: K={f.config.K} W={f.config.W} "
+                     f"n_train={f.n_train} n_test={f.n_test} "
+                     f"features={f.n_features} "
+                     f"patterns_identified={f.n_patterns_identified} "
+                     f"patterns_emitted={f.n_patterns_emitted} "
+                     f"{metric}={f.value:.6f}")
+    lines.append(f"mean {metric}: {result.mean:.6f}")
     report = "\n".join(lines) + "\n"
     with open(args.report_out, "w", encoding="utf-8") as fh:
         fh.write(report)

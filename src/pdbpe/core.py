@@ -220,15 +220,3 @@ class PipelineConfig:
         if not isinstance(self.multivariate_mode, MultivariateMode):
             raise DataError("multivariate_mode must be a MultivariateMode")
 
-
-@dataclass(frozen=True)
-class SymbolicSeries:
-    """A discretized series under one variation.
-
-    ORIGINAL/RCS/RCSM symbols lie in [0, K); AUTOREGRESSIVE symbols are
-    signed bin-index steps in [-(K-1), K-1].
-    """
-
-    series_id: str
-    variation: Variation
-    symbols: tuple[int, ...]

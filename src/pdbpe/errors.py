@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes: DataError -> 2, NumericError -> 3.
+The CLI maps these onto process exit codes: UsageError -> 1, DataError -> 2,
+NumericError -> 3.
 """
 
 
@@ -10,6 +11,11 @@ class PdbpeError(Exception):
 
 class DataError(PdbpeError):
     """Malformed or inconsistent input data, schemas, or configuration."""
+
+
+class UsageError(DataError):
+    """Options that do not fit together, such as a metric the task cannot use
+    or a missing required flag. Library callers see a DataError."""
 
 
 class NumericError(PdbpeError):

@@ -14,8 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import Dataset, PipelineConfig
-from .errors import DataError, NumericError
-from .features import FeatureMatrix
+from .errors import DataError, NumericError, UsageError
 from .model_io import fingerprint_model
 from .pipeline import fit_pipeline, transform_dataset
 
@@ -120,6 +119,19 @@ def ridge_predict(model: RidgeModel, X) -> np.ndarray:
     return Z @ model.weights + model.intercept
 
 
+def _nearest(train_X, query, k: int, caller: str) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the k nearest training rows (Euclidean; distance ties keep
+    training row order) and the distances to every training row."""
+    train_X = np.asarray(train_X, dtype=np.float64)
+    query = np.asarray(query, dtype=np.float64)
+    n = train_X.shape[0]
+    if not 1 <= k <= n:
+        raise DataError(f"{caller}: k={k} outside [1, {n}]")
+    diffs = train_X - query
+    dists = np.sqrt((diffs * diffs).sum(axis=1))
+    return np.argsort(dists, kind="stable")[:k], dists
+
+
 def knn_predict(train_X, train_labels: Sequence[str], query, k: int) -> str:
     """Majority vote among the k nearest training rows (Euclidean).
 
@@ -127,16 +139,9 @@ def knn_predict(train_X, train_labels: Sequence[str], query, k: int) -> str:
     the lexicographically smallest label. Neighbor-rank ties are broken by
     training row order (stable sort).
     """
-    train_X = np.asarray(train_X, dtype=np.float64)
-    query = np.asarray(query, dtype=np.float64)
-    n = train_X.shape[0]
-    if not 1 <= k <= n:
-        raise DataError(f"knn_predict: k={k} outside [1, {n}]")
-    if len(train_labels) != n:
+    order, dists = _nearest(train_X, query, k, "knn_predict")
+    if len(train_labels) != len(dists):
         raise DataError("knn_predict: labels length mismatch")
-    diffs = train_X - query
-    dists = np.sqrt((diffs * diffs).sum(axis=1))
-    order = np.argsort(dists, kind="stable")[:k]
     votes: dict[str, int] = {}
     dist_sum: dict[str, float] = {}
     for idx in order:
@@ -152,14 +157,7 @@ def knn_positive_fraction(train_X, train_labels: Sequence[str], query, k: int,
                           positive: str) -> float:
     """Fraction of the k nearest neighbors carrying the positive label;
     a ranking score for AUC."""
-    train_X = np.asarray(train_X, dtype=np.float64)
-    query = np.asarray(query, dtype=np.float64)
-    n = train_X.shape[0]
-    if not 1 <= k <= n:
-        raise DataError(f"knn: k={k} outside [1, {n}]")
-    diffs = train_X - query
-    dists = np.sqrt((diffs * diffs).sum(axis=1))
-    order = np.argsort(dists, kind="stable")[:k]
+    order, _ = _nearest(train_X, query, k, "knn")
     hits = sum(1 for idx in order if str(train_labels[idx]) == positive)
     return hits / k
 
@@ -251,12 +249,6 @@ def _series_labels(dataset: Dataset, task: str) -> list:
     return labels
 
 
-def _pattern_counts(model) -> tuple[int, int]:
-    identified = sum(len(v.rules) for v in model.vocabularies.values())
-    emitted = sum(1 for c in model.schema.columns if c.is_pattern)
-    return identified, emitted
-
-
 def score_split(train_X, y_train, test_X, y_test, task: str, metric: str,
                 knn_k: int = 5, ridge_lambda: float = 1.0,
                 positive_label: str | None = None) -> float:
@@ -283,25 +275,39 @@ def score_split(train_X, y_train, test_X, y_test, task: str, metric: str,
 def cross_validate(dataset: Dataset, config: PipelineConfig, plan: CvPlan,
                    task: str, metric: str | None = None, knn_k: int = 5,
                    ridge_lambda: float = 1.0, positive_label: str | None = None,
-                   centroids: bool = False) -> CvResult:
+                   centroids: bool = False, k_grid: Sequence[int] | None = None,
+                   w_grid: Sequence[int] | None = None,
+                   inner_folds: int = 3) -> CvResult:
     """Refit the pipeline per fold and score held-out series.
 
     task is "regression" (ridge, rmse) or "classification" (k-NN, accuracy
-    or auc). The fitted state per fold depends only on that fold's training
-    rows; fingerprints of the fitted models are recorded so tests can verify
-    the separation.
+    or auc); another task, or a metric the task cannot use, is a UsageError.
+    The fitted state per fold depends only on that fold's training rows;
+    fingerprints of the fitted models are recorded so tests can verify the
+    separation.
+
+    k_grid and w_grid default to config's K and W. When they hold more than
+    one (K, W) point, each fold picks its config by grid_search on an inner
+    plan over its training rows: inner_folds folds, seed plan.seed + 101 +
+    fold, grouped by each series' group_id when plan is group-aware. Each
+    FoldResult.config records the config the fold was fitted with.
     """
     if task not in ("regression", "classification"):
-        raise DataError(f"unknown task {task!r}")
+        raise UsageError(f"unknown task {task!r}")
     if metric is None:
         metric = "rmse" if task == "regression" else "accuracy"
     valid = {"regression": {"rmse"}, "classification": {"accuracy", "auc"}}
     if metric not in valid[task]:
-        raise DataError(f"metric {metric!r} not valid for task {task!r}")
-    by_id = {ts.id: ts for ts in dataset}
-    missing = [sid for sid in plan.assignment if sid not in by_id]
-    if missing:
-        raise DataError(f"plan covers unknown series ids: {missing[:3]}")
+        raise UsageError(f"metric {metric!r} is not valid for task {task!r}")
+    stray = sorted(set(dataset.ids).symmetric_difference(plan.assignment))
+    if stray:
+        raise DataError(f"plan and dataset disagree on series ids: {stray[:3]}")
+    labels = dict(zip(dataset.ids, _series_labels(dataset, task)))
+    k_grid = list(k_grid or [config.K])
+    w_grid = list(w_grid or [config.W])
+    nested = len(set(k_grid)) > 1 or len(set(w_grid)) > 1
+    if not nested:
+        config = replace(config, K=k_grid[0], W=w_grid[0])
     folds: list[FoldResult] = []
     for fold in range(plan.k):
         train = Dataset(tuple(ts for ts in dataset
@@ -310,18 +316,30 @@ def cross_validate(dataset: Dataset, config: PipelineConfig, plan: CvPlan,
                              if plan.assignment[ts.id] == fold))
         if len(train) == 0 or len(test) == 0:
             raise DataError(f"fold {fold} leaves an empty train or test split")
-        model, train_matrix = fit_pipeline(train, config, centroids=centroids)
+        fold_config = config
+        if nested:
+            inner_groups = ([ts.group_id for ts in train]
+                            if plan.group_aware else None)
+            inner_plan = kfold_split(train.ids, inner_folds,
+                                     seed=plan.seed + 101 + fold,
+                                     group_ids=inner_groups)
+            fold_config, _table = grid_search(
+                train, k_grid, w_grid, inner_plan, task, config, metric=metric,
+                knn_k=knn_k, ridge_lambda=ridge_lambda,
+                positive_label=positive_label, centroids=centroids)
+        model, train_matrix = fit_pipeline(train, fold_config,
+                                           centroids=centroids)
         test_matrix = transform_dataset(model, test)
-        y_train = _series_labels(train, task)
-        y_test = _series_labels(test, task)
+        y_train = [labels[sid] for sid in train.ids]
+        y_test = [labels[sid] for sid in test.ids]
         value = score_split(train_matrix.values, y_train, test_matrix.values,
                             y_test, task, metric, knn_k=knn_k,
                             ridge_lambda=ridge_lambda,
                             positive_label=positive_label)
-        identified, emitted = _pattern_counts(model)
+        identified, emitted = model.pattern_counts()
         folds.append(FoldResult(
             fold=fold, n_train=len(train), n_test=len(test), metric=metric,
-            value=float(value), config=config,
+            value=float(value), config=fold_config,
             n_features=len(train_matrix.names),
             n_patterns_identified=identified, n_patterns_emitted=emitted,
             model_fingerprint=fingerprint_model(model)))

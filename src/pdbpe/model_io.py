@@ -14,8 +14,8 @@ from typing import Any
 
 import numpy as np
 
-from .core import (MultivariateMode, PipelineConfig, Variation,
-                   parse_multivariate_mode, parse_variation)
+from .core import (PipelineConfig, Variation, parse_multivariate_mode,
+                   parse_variation)
 from .discretize import Discretizer
 from .errors import DataError
 from .features import FeatureDescriptor, FeatureSchema
@@ -116,6 +116,7 @@ def model_from_dict(doc: dict[str, Any]) -> FittedModel:
             variations=tuple(parse_variation(v) for v in cfg["variations"]),
             multivariate_mode=parse_multivariate_mode(cfg["multivariate_mode"]))
         channels = tuple(doc["channels"])
+        n_training_series = int(doc["n_training_series"])
         mined_channels = tuple(doc["mined_channels"])
         discretizers = {
             ch: Discretizer(K=int(d["K"]), lower_fence=float(d["lower_fence"]),
@@ -158,7 +159,7 @@ def model_from_dict(doc: dict[str, Any]) -> FittedModel:
         raise DataError(f"malformed model artifact: {exc}") from exc
     return FittedModel(config=config, channels=channels,
                        mined_channels=mined_channels,
-                       n_training_series=int(doc["n_training_series"]),
+                       n_training_series=n_training_series,
                        discretizers=discretizers, rcsm_medians=rcsm_medians,
                        vocabularies=vocabularies, schema=schema,
                        centroid_table=centroid_table)

@@ -22,7 +22,6 @@ from .features import (CENTROID_PREFIX, FeatureDescriptor, FeatureMatrix,
                        centroid_augment, count_features, drop_zero_variance,
                        prune_correlated)
 from .bpe import Vocabulary, encode, fit_bpe
-from .parallel import ordered_map
 from .preprocess import collapse_series, paa, zscore_normalize
 from .variations import (RcsmMedians, apply_autoregressive, apply_rcs,
                          apply_rcsm, fit_rcsm_medians, offset_encode,
@@ -52,6 +51,13 @@ class FittedModel:
     def base_size(self, variation: Variation) -> int:
         return 2 * self.config.K - 1 if variation is Variation.AUTOREGRESSIVE \
             else self.config.K
+
+    def pattern_counts(self) -> tuple[int, int]:
+        """(patterns mined, patterns emitted as columns after the support
+        filter)."""
+        identified = sum(len(v.rules) for v in self.vocabularies.values())
+        emitted = sum(1 for c in self.schema.columns if c.is_pattern)
+        return identified, emitted
 
     def output_names(self) -> tuple[str, ...]:
         names = self.schema.final_names()
@@ -130,16 +136,15 @@ def fit_pipeline(dataset: Dataset, config: PipelineConfig,
     n = len(dataset)
     mined = _mined_channels(dataset.channels, config.multivariate_mode)
 
-    streams = ordered_map(lambda ts: _paa_streams(ts, config), dataset.series)
+    streams = [_paa_streams(ts, config) for ts in dataset.series]
 
     discretizers: dict[str, Discretizer] = {}
     for ch in mined:
         pooled = np.concatenate([s[ch] for s in streams])
         discretizers[ch] = fit_discretizer(pooled, config.K, config.iqr_multiplier)
 
-    original = ordered_map(
-        lambda s: {ch: apply_discretizer(s[ch], discretizers[ch]) for ch in mined},
-        streams)
+    original = [{ch: apply_discretizer(s[ch], discretizers[ch]) for ch in mined}
+                for s in streams]
 
     rcsm_medians: dict[str, RcsmMedians] = {}
     for ch in mined:
@@ -230,7 +235,7 @@ def transform_dataset(model: FittedModel, dataset: Dataset) -> FeatureMatrix:
     group id; centroids are the group means over the rows being transformed.
     """
     dataset = _align_channels(dataset, model.channels)
-    rows = ordered_map(lambda ts: _series_row(ts, model), dataset.series)
+    rows = [_series_row(ts, model) for ts in dataset.series]
     raw = np.vstack(rows) if rows else np.zeros((0, len(model.schema.columns)))
     final_kept = np.asarray(model.schema.final_kept, dtype=bool) \
         if model.schema.final_kept is not None else np.ones(raw.shape[1], bool)
@@ -247,28 +252,20 @@ def _variation_token_spans(original: np.ndarray, variation: Variation,
                            medians: RcsmMedians, K: int) -> tuple[list[int], list[int], list[int]]:
     """Variation sequence plus, per token, the half-open PAA index range it
     covers: (sequence, starts, ends)."""
-    if variation is Variation.ORIGINAL:
-        seq = [int(s) for s in original]
+    seq = variation_sequence(original, variation, medians, K)
+    if variation in (Variation.ORIGINAL, Variation.AUTOREGRESSIVE):
+        width = 2 if variation is Variation.AUTOREGRESSIVE else 1
         starts = list(range(len(seq)))
-        ends = [t + 1 for t in starts]
-        return seq, starts, ends
-    if variation is Variation.AUTOREGRESSIVE:
-        seq = offset_encode(apply_autoregressive(original), K)
-        starts = list(range(len(seq)))
-        ends = [t + 2 for t in starts]
-        return seq, starts, ends
-    runs = run_lengths(original)
-    seq: list[int] = []
+        return seq, starts, [t + width for t in starts]
+    # Run-collapsed views: each run yields one token, or two under RCSM when
+    # it is longer than the symbol's median (the rule apply_rcsm follows).
     starts: list[int] = []
     ends: list[int] = []
-    for sym, start, length in runs:
-        copies = 1
-        if variation is Variation.RCSM and length > medians.median_for(sym):
-            copies = 2
-        for _ in range(copies):
-            seq.append(sym)
-            starts.append(start)
-            ends.append(start + length)
+    for sym, start, length in run_lengths(original):
+        copies = 2 if (variation is Variation.RCSM
+                       and length > medians.median_for(sym)) else 1
+        starts += [start] * copies
+        ends += [start + length] * copies
     return seq, starts, ends
 
 

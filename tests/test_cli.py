@@ -1,5 +1,9 @@
 """Command-line behavior: flows, logs, exit codes, determinism."""
 
+import json
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -189,6 +193,22 @@ def test_evaluate_regression_autodetected(tmp_path, capsys):
     assert "ridge" in text
 
 
+def test_evaluate_metric_must_fit_task(tmp_path, capsys):
+    data, _ = _write_motif_corpus(tmp_path, n=12)
+    labels = tmp_path / "reg_labels.csv"
+    with open(labels, "w") as fh:
+        fh.write("series_id,label\n")
+        for i in range(12):
+            fh.write(f"s{i},{i * 0.5}\n")
+    code = main(["evaluate", "--data", data, "--labels", str(labels),
+                 "--k", "4", "--w", "3", "--folds", "3",
+                 "--task", "regression", "--metric", "accuracy",
+                 "--report-out", str(tmp_path / "r.txt")])
+    assert code == 1
+    assert "accuracy" in capsys.readouterr().err
+    assert not (tmp_path / "r.txt").exists()
+
+
 def test_evaluate_group_aware_requires_groups(tmp_path, capsys):
     data, _ = _write_motif_corpus(tmp_path, n=12)
     labels = tmp_path / "nogroup.csv"
@@ -233,6 +253,25 @@ def test_transform_unknown_channel_fails(tmp_path, capsys):
                  "--features-out", str(tmp_path / "g.csv")])
     assert code == 2
     assert "channel" in capsys.readouterr().err
+
+
+def test_transform_model_missing_key_is_data_error(tmp_path, capsys):
+    data, _ = _write_motif_corpus(tmp_path)
+    model_path = tmp_path / "m.json"
+    main(["discover", "--data", data, "--k", "4", "--w", "3",
+          "--model-out", str(model_path),
+          "--features-out", str(tmp_path / "f.csv")])
+    capsys.readouterr()
+    doc = json.loads(model_path.read_text())
+    del doc["n_training_series"]
+    model_path.write_text(json.dumps(doc))
+    r = subprocess.run([sys.executable, "-m", "pdbpe.cli", "transform",
+                        "--model", str(model_path), "--data", data,
+                        "--features-out", str(tmp_path / "g.csv")],
+                       capture_output=True, text=True)
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert "n_training_series" in r.stderr
 
 
 def test_centroid_flow_through_cli(tmp_path, capsys):

@@ -232,6 +232,35 @@ def test_cross_validate_validates_inputs():
         cross_validate(ds, PipelineConfig(K=4, W=4), plan, task="regression")
 
 
+@pytest.mark.parametrize("grouped", [False, True])
+def test_cross_validate_nested_grid_picks_per_fold(grouped):
+    # With a K grid, each outer fold's config is the one grid_search picks on
+    # an inner plan over that fold's training rows (seed plan.seed + 101 +
+    # fold, group-aware when the outer plan is), and the fold is fitted with
+    # it.
+    ds = _labeled_dataset(seed=23, n=18)
+    if grouped:
+        ds = Dataset(tuple(ts.with_annotations(group_id=f"g{i // 2}")
+                           for i, ts in enumerate(ds)))
+    plan = kfold_split(ds.ids, 3, seed=6,
+                       group_ids=[ts.group_id for ts in ds] if grouped else None)
+    base = PipelineConfig(K=3, W=4)
+    result = cross_validate(ds, base, plan, task="classification", knn_k=3,
+                            k_grid=[3, 4], inner_folds=2)
+    assert len(result.folds) == 3
+    assert {f.config.K for f in result.folds} == {3, 4}
+    for f in result.folds:
+        assert (f.config.K, f.config.W) in {(3, 4), (4, 4)}
+        train = Dataset(tuple(ts for ts in ds
+                              if plan.assignment[ts.id] != f.fold))
+        inner = kfold_split(train.ids, 2, seed=plan.seed + 101 + f.fold,
+                            group_ids=[ts.group_id for ts in train]
+                            if grouped else None)
+        expected, _ = grid_search(train, [3, 4], [4], inner, "classification",
+                                  base, knn_k=3)
+        assert f.config == expected
+
+
 def test_score_split_direct():
     train_X = np.array([[0.0], [0.1], [5.0], [5.1]])
     y_train = ["n", "n", "p", "p"]
