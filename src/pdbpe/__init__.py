@@ -6,7 +6,8 @@ fencing, series variations, pair merging) and turns any series into a
 fixed-width vector of normalized pattern counts.
 """
 
-from .bpe import MergeRule, Vocabulary, decode_pattern, encode, fit_bpe
+from .bpe import (MergeRule, Vocabulary, decode_pattern, encode, encode_corpus,
+                  fit_bpe)
 from .core import (ALL_VARIATIONS, Dataset, MultivariateMode, PipelineConfig,
                    TimeSeries, Variation, ingest_filter, parse_multivariate_mode,
                    parse_variation)
@@ -39,6 +40,7 @@ __all__ = [
     "anova_f_rank", "apply_autoregressive", "apply_discretizer", "apply_rcs",
     "apply_rcsm", "auc_roc", "centroid_augment", "collapse_series",
     "cross_validate", "decode_pattern", "drop_zero_variance", "encode",
+    "encode_corpus",
     "fingerprint_model", "fit_bpe", "fit_discretizer", "fit_pipeline",
     "fit_rcsm_medians", "fit_whitening", "grid_search", "ingest_filter",
     "kfold_split", "knn_predict", "load_model", "offset_decode",

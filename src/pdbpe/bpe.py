@@ -6,12 +6,22 @@ are counted non-overlapping, scanning left to right, so a run of the same
 symbol of length L holds floor(L/2) occurrences of its self-pair. Merging
 stops when the best pair's frequency drops below max(N*P, T*U), where N is
 the training series count and T the initial number of adjacent pair slots.
+
+A corpus is held flat: one int64 token array for all series, a series-index
+array beside it, and a ``same`` mask that is true where two adjacent tokens
+belong to one series. Pairs never cross a series boundary. A self-pair
+(a, a) counts only at even offsets inside its run of a, which is the
+non-overlapping left-to-right convention in array form. The miner recounts
+every pair of the corpus on each iteration; encoding applies each rule to
+the whole corpus in one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import DataError
 
@@ -46,17 +56,11 @@ class Vocabulary:
     n_series: int = 0
     initial_pair_slots: int = 0
     stop_threshold: float = 0.0
-    _ranks: dict[tuple[int, int], int] | None = field(default=None, repr=False)
     _decoded: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
 
     @property
     def size(self) -> int:
         return self.base_size + len(self.rules)
-
-    def pair_ranks(self) -> dict[tuple[int, int], int]:
-        if self._ranks is None:
-            self._ranks = {(r.left, r.right): i for i, r in enumerate(self.rules)}
-        return self._ranks
 
     def decode(self, symbol: int) -> tuple[int, ...]:
         """Expand a symbol to its base-alphabet sequence."""
@@ -73,174 +77,130 @@ class Vocabulary:
         return cached
 
 
-def _series_pair_counts(seq: Sequence[int]) -> dict[tuple[int, int], int]:
-    """Non-overlapping pair counts for one sequence.
-
-    Walks maximal runs: a run of symbol a with length L contributes L//2 to
-    (a, a), and each run boundary contributes one occurrence of the distinct
-    pair it forms.
-    """
-    counts: dict[tuple[int, int], int] = {}
-    n = len(seq)
-    i = 0
-    while i < n:
-        a = seq[i]
-        j = i + 1
-        while j < n and seq[j] == a:
-            j += 1
-        if j - i >= 2:
-            key = (a, a)
-            counts[key] = counts.get(key, 0) + ((j - i) >> 1)
-        if j < n:
-            key = (a, seq[j])
-            counts[key] = counts.get(key, 0) + 1
-        i = j
-    return counts
+def _flatten(corpus: Iterable[Sequence[int]], base_size: int,
+             what: str) -> tuple[np.ndarray, np.ndarray, int]:
+    """(tokens, series index per token, series count) of a corpus whose
+    symbols must all lie in [0, base_size)."""
+    seqs = [np.asarray(seq, dtype=np.int64) for seq in corpus]
+    lengths = [seq.size for seq in seqs]
+    tok = np.concatenate(seqs) if seqs else np.zeros(0, dtype=np.int64)
+    bad = np.flatnonzero((tok < 0) | (tok >= base_size))
+    if bad.size:
+        raise DataError(f"{what} {tok[bad[0]]} outside base alphabet "
+                        f"[0, {base_size})")
+    return tok, np.repeat(np.arange(len(seqs)), lengths), len(seqs)
 
 
-def _replace_pair(seq: Sequence[int], left: int, right: int, new: int) -> list[int]:
-    """Replace non-overlapping (left, right) occurrences, left to right."""
-    out: list[int] = []
-    append = out.append
-    n = len(seq)
-    last = n - 1
-    i = 0
-    while i < n:
-        if i < last and seq[i] == left and seq[i + 1] == right:
-            append(new)
-            i += 2
-        else:
-            append(seq[i])
-            i += 1
-    return out
+def _even_run_offset(pos: np.ndarray) -> np.ndarray:
+    """Mask over sorted positions: true where a position's offset from the
+    start of its run of consecutive integers is even."""
+    idx = np.arange(pos.size)
+    start = np.ones(pos.size, dtype=bool)
+    start[1:] = np.diff(pos) != 1
+    return (idx - np.maximum.accumulate(np.where(start, idx, 0))) % 2 == 0
 
 
-def count_pairs(corpus: Iterable[Sequence[int]]) -> dict[tuple[int, int], tuple[int, int]]:
-    """Corpus-wide pair statistics: (left, right) -> (frequency, series_support).
+def _pair_positions(tok: np.ndarray, same: np.ndarray) -> np.ndarray:
+    """Start positions of every counted pair occurrence, ascending."""
+    counted = same.copy()
+    self_pos = np.flatnonzero(same & (tok[:-1] == tok[1:]))
+    counted[self_pos[~_even_run_offset(self_pos)]] = False
+    return np.flatnonzero(counted)
 
-    Frequency uses the non-overlapping left-to-right convention; support is
-    the number of distinct series with at least one occurrence. Pairs never
-    cross series boundaries.
-    """
-    totals: dict[tuple[int, int], int] = {}
-    support: dict[tuple[int, int], int] = {}
-    for seq in corpus:
-        for key, cnt in _series_pair_counts(list(seq)).items():
-            totals[key] = totals.get(key, 0) + cnt
-            support[key] = support.get(key, 0) + 1
-    return {key: (cnt, support[key]) for key, cnt in totals.items()}
+
+def _occurrences(tok: np.ndarray, same: np.ndarray, left: int,
+                 right: int) -> np.ndarray:
+    """Start positions of the non-overlapping left-to-right occurrences of
+    (left, right), ascending."""
+    pos = np.flatnonzero(same & (tok[:-1] == left) & (tok[1:] == right))
+    return pos[_even_run_offset(pos)] if left == right else pos
+
+
+def _most_frequent(codes: np.ndarray, V: int) -> tuple[int, int]:
+    """(code, count) of the most frequent pair code; ties go to the smallest
+    code. Counts by bincount over all V*V codes unless that table would be
+    much larger than the codes themselves."""
+    if V * V <= 8 * codes.size:
+        counts = np.bincount(codes)
+        code = int(np.argmax(counts))
+        return code, int(counts[code])
+    uniq, counts = np.unique(codes, return_counts=True)
+    i = int(np.argmax(counts))
+    return int(uniq[i]), int(counts[i])
+
+
+def _merge(tok: np.ndarray, sid: np.ndarray, hits: np.ndarray,
+           new: int) -> tuple[np.ndarray, np.ndarray]:
+    """Replace the pairs starting at hits with the symbol new."""
+    tok[hits] = new
+    keep = np.ones(tok.size, dtype=bool)
+    keep[hits + 1] = False
+    return tok[keep], sid[keep]
 
 
 def fit_bpe(corpus: Iterable[Sequence[int]], base_size: int,
-            n_series: int | None = None, P: float = 0.20, U: float = 0.001,
-            return_encoded: bool = False):
+            n_series: int | None = None, P: float = 0.20,
+            U: float = 0.001) -> Vocabulary:
     """Learn a merge-rule vocabulary from a symbol corpus.
 
-    Each iteration merges the globally most frequent pair (ties broken by the
-    lexicographically smallest (left, right)) and assigns it the next symbol
-    id from base_size upward. Pair counts are maintained incrementally: only
-    series containing the merged pair are rescanned. An empty corpus yields
-    an empty vocabulary.
-
-    Returns the Vocabulary, or (Vocabulary, encoded_corpus) when
-    return_encoded is set; the encoded corpus is each input sequence in its
-    end-of-training form.
+    Each iteration recounts every pair of the flat corpus with one bincount
+    over left*V + right codes (V the current vocabulary size), merges the
+    most frequent pair and assigns it the next symbol id from base_size
+    upward. argmax takes the first maximum, so ties go to the smallest
+    (left, right). An empty corpus yields an empty vocabulary. The training
+    corpus in its end-of-training form is encode_corpus(corpus, vocab).
     """
-    seqs = [list(seq) for seq in corpus]
-    for seq in seqs:
-        for sym in seq:
-            if not 0 <= sym < base_size:
-                raise DataError(f"corpus symbol {sym} outside base alphabet "
-                                f"[0, {base_size})")
-    N = len(seqs) if n_series is None else n_series
-    T = sum(len(seq) - 1 for seq in seqs if len(seq) > 1)
+    tok, sid, count = _flatten(corpus, base_size, "corpus symbol")
+    N = count if n_series is None else n_series
+    T = int(np.count_nonzero(sid[1:] == sid[:-1]))
     threshold = max(N * P, T * U)
 
-    per_series = [_series_pair_counts(seq) for seq in seqs]
-    totals: dict[tuple[int, int], int] = {}
-    holders: dict[tuple[int, int], set[int]] = {}
-    for idx, counts in enumerate(per_series):
-        for key, cnt in counts.items():
-            totals[key] = totals.get(key, 0) + cnt
-            holders.setdefault(key, set()).add(idx)
-
     rules: list[MergeRule] = []
-    next_symbol = base_size
-    while totals:
-        # Most frequent pair; ties go to the smallest (left, right).
-        (left, right), freq = min(totals.items(), key=lambda kv: (-kv[1], kv[0]))
+    while True:
+        pos = _pair_positions(tok, sid[1:] == sid[:-1])
+        if pos.size == 0:
+            break
+        V = base_size + len(rules)
+        codes = tok[pos] * V + tok[pos + 1]
+        code, freq = _most_frequent(codes, V)
         if freq < threshold:
             break
-        pair = (left, right)
-        support = len(holders[pair])
-        for idx in sorted(holders[pair]):
-            old = per_series[idx]
-            seqs[idx] = _replace_pair(seqs[idx], left, right, next_symbol)
-            new = _series_pair_counts(seqs[idx])
-            per_series[idx] = new
-            for key, cnt in old.items():
-                ncnt = new.get(key)
-                if ncnt == cnt:
-                    continue
-                t = totals[key] - cnt + (ncnt or 0)
-                if t:
-                    totals[key] = t
-                else:
-                    del totals[key]
-                if ncnt is None:
-                    hs = holders[key]
-                    hs.discard(idx)
-                    if not hs:
-                        del holders[key]
-            for key, cnt in new.items():
-                if key in old:
-                    continue
-                totals[key] = totals.get(key, 0) + cnt
-                holders.setdefault(key, set()).add(idx)
-        rules.append(MergeRule(new_symbol=next_symbol, left=left, right=right,
-                               train_frequency=freq, train_series_support=support))
-        next_symbol += 1
+        hits = pos[codes == code]
+        holders = sid[hits]
+        support = 1 + int(np.count_nonzero(holders[1:] != holders[:-1]))
+        rules.append(MergeRule(new_symbol=V, left=code // V, right=code % V,
+                               train_frequency=freq,
+                               train_series_support=support))
+        tok, sid = _merge(tok, sid, hits, V)
 
-    vocab = Vocabulary(base_size=base_size, rules=tuple(rules), n_series=N,
-                       initial_pair_slots=T, stop_threshold=threshold)
-    if return_encoded:
-        return vocab, seqs
-    return vocab
+    return Vocabulary(base_size=base_size, rules=tuple(rules), n_series=N,
+                      initial_pair_slots=T, stop_threshold=threshold)
+
+
+def encode_corpus(corpus: Iterable[Sequence[int]],
+                  vocab: Vocabulary) -> list[list[int]]:
+    """Apply the vocabulary's merge rules to every base-alphabet sequence of
+    a corpus.
+
+    Each rule, in learned order, replaces all its non-overlapping
+    occurrences in one vectorized pass; later merges never recreate an
+    earlier rule's pair. Input symbols outside the base alphabet are a hard
+    error. Applied to a training corpus, this reproduces its end-of-training
+    form exactly.
+    """
+    tok, sid, count = _flatten(corpus, vocab.base_size, "symbol")
+    for rule in vocab.rules:
+        hits = _occurrences(tok, sid[1:] == sid[:-1], rule.left, rule.right)
+        if hits.size:
+            tok, sid = _merge(tok, sid, hits, rule.new_symbol)
+    ends = np.cumsum(np.bincount(sid, minlength=count)).tolist()
+    flat = tok.tolist()
+    return [flat[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def encode(symbols: Sequence[int], vocab: Vocabulary) -> list[int]:
-    """Apply the vocabulary's merge rules to a base-alphabet sequence.
-
-    Rules fire in learned order; at each step the lowest-ranked rule whose
-    pair is present replaces all its non-overlapping occurrences, which is
-    equivalent to one exhaustive pass per rule (later merges never recreate
-    an earlier rule's pair). Input symbols outside the base alphabet are a
-    hard error. Applied to a training sequence, this reproduces its
-    end-of-training form exactly.
-    """
-    seq = []
-    for sym in symbols:
-        sym = int(sym)
-        if not 0 <= sym < vocab.base_size:
-            raise DataError(f"symbol {sym} outside base alphabet "
-                            f"[0, {vocab.base_size})")
-        seq.append(sym)
-    ranks = vocab.pair_ranks()
-    if not ranks:
-        return seq
-    while len(seq) >= 2:
-        best = None
-        prev = seq[0]
-        for cur in seq[1:]:
-            rank = ranks.get((prev, cur))
-            if rank is not None and (best is None or rank < best):
-                best = rank
-            prev = cur
-        if best is None:
-            break
-        rule = vocab.rules[best]
-        seq = _replace_pair(seq, rule.left, rule.right, rule.new_symbol)
-    return seq
+    """Apply the vocabulary's merge rules to one base-alphabet sequence."""
+    return encode_corpus([symbols], vocab)[0]
 
 
 def decode_pattern(symbol: int, vocab: Vocabulary) -> tuple[int, ...]:

@@ -314,10 +314,25 @@ def _detect_task(labels: list[str]) -> str:
     return "regression"
 
 
+def _parse_grid(raw: str | None, flag: str) -> list[int] | None:
+    if not raw:
+        return None
+    try:
+        return [int(x) for x in raw.split(",")]
+    except ValueError:
+        raise UsageError(f"{flag}: expected a comma list of integers, "
+                         f"got {raw!r}") from None
+
+
 def cmd_evaluate(args) -> int:
+    k_grid = _parse_grid(args.k_grid, "--k-grid")
+    w_grid = _parse_grid(args.w_grid, "--w-grid")
+    for flag, value, least in (("--folds", args.folds, 2),
+                               ("--inner-folds", args.inner_folds, 2),
+                               ("--knn-k", args.knn_k, 1)):
+        if value < least:
+            raise UsageError(f"{flag} must be at least {least}, got {value}")
     fields = _config_fields(args)
-    k_grid = [int(x) for x in args.k_grid.split(",")] if args.k_grid else None
-    w_grid = [int(x) for x in args.w_grid.split(",")] if args.w_grid else None
     if k_grid is None:
         if "K" not in fields:
             raise UsageError("provide --k, --k-grid, or K in a config file")

@@ -220,3 +220,7 @@ class PipelineConfig:
         if not isinstance(self.multivariate_mode, MultivariateMode):
             raise DataError("multivariate_mode must be a MultivariateMode")
 
+    def base_size(self, variation: Variation) -> int:
+        """Base alphabet size of one view: K bins, or the 2K-1 possible
+        steps of the autoregressive view."""
+        return 2 * self.K - 1 if variation is Variation.AUTOREGRESSIVE else self.K

@@ -99,6 +99,24 @@ def _descriptor_to_dict(col: FeatureDescriptor) -> dict[str, Any]:
     }
 
 
+def _check_vocabulary(vocab: Vocabulary, base_size: int, where: str) -> None:
+    """Rules must number their symbols contiguously from the view's base size
+    and merge only symbols defined before them; then one pass per rule, in
+    learned order, encodes exactly as mining did."""
+    if vocab.base_size != base_size:
+        raise DataError(f"vocabulary {where}: base_size {vocab.base_size}, "
+                        f"expected {base_size}")
+    for i, rule in enumerate(vocab.rules):
+        if rule.new_symbol != base_size + i:
+            raise DataError(f"vocabulary {where}: rule {i} defines symbol "
+                            f"{rule.new_symbol}, expected {base_size + i}")
+        if not (0 <= rule.left < rule.new_symbol
+                and 0 <= rule.right < rule.new_symbol):
+            raise DataError(f"vocabulary {where}: rule {i} merges "
+                            f"({rule.left}, {rule.right}); both must be in "
+                            f"[0, {rule.new_symbol})")
+
+
 def model_from_dict(doc: dict[str, Any]) -> FittedModel:
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise DataError("not a pdbpe model artifact")
@@ -139,6 +157,13 @@ def model_from_dict(doc: dict[str, Any]) -> FittedModel:
                     n_series=int(v["n_series"]),
                     initial_pair_slots=int(v["initial_pair_slots"]),
                     stop_threshold=float(v["stop_threshold"]))
+        views = {(ch, v) for ch in mined_channels for v in config.variations}
+        if set(vocabularies) != views:
+            raise DataError("vocabularies do not cover exactly the mined "
+                            "channels and configured variations")
+        for (ch, variation), vocab in vocabularies.items():
+            _check_vocabulary(vocab, config.base_size(variation),
+                              f"{ch}/{variation.value}")
         sch = doc["schema"]
         columns = tuple(FeatureDescriptor(
             channel=c["channel"], variation=parse_variation(c["variation"]),

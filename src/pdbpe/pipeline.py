@@ -19,9 +19,8 @@ from .discretize import Discretizer, apply_discretizer, fit_discretizer
 from .errors import DataError
 from .features import (CENTROID_PREFIX, FeatureDescriptor, FeatureMatrix,
                        FeatureSchema, assemble_matrix, build_schema,
-                       centroid_augment, count_features, drop_zero_variance,
-                       prune_correlated)
-from .bpe import Vocabulary, encode, fit_bpe
+                       centroid_augment, drop_zero_variance, prune_correlated)
+from .bpe import Vocabulary, encode_corpus, fit_bpe
 from .preprocess import collapse_series, paa, zscore_normalize
 from .variations import (RcsmMedians, apply_autoregressive, apply_rcs,
                          apply_rcsm, fit_rcsm_medians, offset_encode,
@@ -49,8 +48,7 @@ class FittedModel:
     centroid_table: dict[str, np.ndarray] | None = None
 
     def base_size(self, variation: Variation) -> int:
-        return 2 * self.config.K - 1 if variation is Variation.AUTOREGRESSIVE \
-            else self.config.K
+        return self.config.base_size(variation)
 
     def pattern_counts(self) -> tuple[int, int]:
         """(patterns mined, patterns emitted as columns after the support
@@ -99,6 +97,22 @@ def variation_sequence(original: np.ndarray, variation: Variation,
     raise DataError(f"unhandled variation {variation}")
 
 
+def _discretize(streams: list[dict[str, np.ndarray]],
+                discretizers: dict[str, Discretizer]) -> list[dict[str, np.ndarray]]:
+    """Base-symbol sequence per series and mined channel."""
+    return [{ch: apply_discretizer(s[ch], disc)
+             for ch, disc in discretizers.items()} for s in streams]
+
+
+def _view_corpora(original: list[dict[str, np.ndarray]],
+                  mined: tuple[str, ...], config: PipelineConfig,
+                  medians: dict[str, RcsmMedians]) -> dict[tuple[str, Variation], list[list[int]]]:
+    """Per (channel, variation), every series' symbol sequence in that view."""
+    return {(ch, variation): [variation_sequence(o[ch], variation, medians[ch],
+                                                 config.K) for o in original]
+            for ch in mined for variation in config.variations}
+
+
 def _align_channels(dataset: Dataset, channels: tuple[str, ...]) -> Dataset:
     """Reorder dataset channels to match a model's layout; the channel set
     must be identical."""
@@ -143,8 +157,7 @@ def fit_pipeline(dataset: Dataset, config: PipelineConfig,
         pooled = np.concatenate([s[ch] for s in streams])
         discretizers[ch] = fit_discretizer(pooled, config.K, config.iqr_multiplier)
 
-    original = [{ch: apply_discretizer(s[ch], discretizers[ch]) for ch in mined}
-                for s in streams]
+    original = _discretize(streams, discretizers)
 
     rcsm_medians: dict[str, RcsmMedians] = {}
     for ch in mined:
@@ -153,18 +166,13 @@ def fit_pipeline(dataset: Dataset, config: PipelineConfig,
         else:
             rcsm_medians[ch] = RcsmMedians()
 
-    vocabularies: dict[tuple[str, Variation], Vocabulary] = {}
-    encoded: dict[tuple[str, Variation], list[list[int]]] = {}
-    for ch in mined:
-        for variation in config.variations:
-            corpus = [variation_sequence(o[ch], variation, rcsm_medians[ch],
-                                         config.K) for o in original]
-            base = 2 * config.K - 1 if variation is Variation.AUTOREGRESSIVE \
-                else config.K
-            vocab, enc = fit_bpe(corpus, base, n_series=n, P=config.P,
-                                 U=config.U, return_encoded=True)
-            vocabularies[(ch, variation)] = vocab
-            encoded[(ch, variation)] = enc
+    corpora = _view_corpora(original, mined, config, rcsm_medians)
+    vocabularies = {
+        (ch, variation): fit_bpe(corpus, config.base_size(variation),
+                                 n_series=n, P=config.P, U=config.U)
+        for (ch, variation), corpus in corpora.items()}
+    encoded = {key: encode_corpus(corpus, vocabularies[key])
+               for key, corpus in corpora.items()}
 
     schema = build_schema(mined, config.variations, vocabularies, n, config.P,
                           config.K)
@@ -202,30 +210,6 @@ def fit_pipeline(dataset: Dataset, config: PipelineConfig,
     return model, matrix
 
 
-def _series_row(ts: TimeSeries, model: FittedModel) -> np.ndarray:
-    """Feature row for one series under a fitted model (pre-centroid)."""
-    config = model.config
-    streams = _paa_streams(ts, config)
-    row_parts: list[np.ndarray] = []
-    cols = model.schema.columns
-    original: dict[str, np.ndarray] = {
-        ch: apply_discretizer(streams[ch], model.discretizers[ch])
-        for ch in model.mined_channels}
-    i = 0
-    n_cols = len(cols)
-    while i < n_cols:
-        ch, variation = cols[i].channel, cols[i].variation
-        j = i
-        while j < n_cols and cols[j].channel == ch and cols[j].variation == variation:
-            j += 1
-        seq = variation_sequence(original[ch], variation,
-                                 model.rcsm_medians[ch], config.K)
-        enc = encode(seq, model.vocabularies[(ch, variation)])
-        row_parts.append(count_features(enc, [c.symbol for c in cols[i:j]]))
-        i = j
-    return np.concatenate(row_parts) if row_parts else np.zeros(0)
-
-
 def transform_dataset(model: FittedModel, dataset: Dataset) -> FeatureMatrix:
     """Apply a fitted model to new series, reproducing the training matrix
     bit-exactly on the training data.
@@ -235,8 +219,13 @@ def transform_dataset(model: FittedModel, dataset: Dataset) -> FeatureMatrix:
     group id; centroids are the group means over the rows being transformed.
     """
     dataset = _align_channels(dataset, model.channels)
-    rows = [_series_row(ts, model) for ts in dataset.series]
-    raw = np.vstack(rows) if rows else np.zeros((0, len(model.schema.columns)))
+    streams = [_paa_streams(ts, model.config) for ts in dataset.series]
+    corpora = _view_corpora(_discretize(streams, model.discretizers),
+                            model.mined_channels, model.config,
+                            model.rcsm_medians)
+    encoded = {key: encode_corpus(corpus, model.vocabularies[key])
+               for key, corpus in corpora.items()}
+    raw = assemble_matrix(dataset.ids, encoded, model.schema).values
     final_kept = np.asarray(model.schema.final_kept, dtype=bool) \
         if model.schema.final_kept is not None else np.ones(raw.shape[1], bool)
     values = raw[:, final_kept]

@@ -19,7 +19,8 @@ import numpy as np
 from naive_bpe import naive_fit
 from pdbpe import (Dataset, PipelineConfig, RcsmMedians, TimeSeries,
                    apply_autoregressive, apply_rcs, apply_rcsm, encode,
-                   fit_bpe, fit_pipeline, fit_whitening, whiten_multivariate)
+                   encode_corpus, fit_bpe, fit_pipeline, fit_whitening,
+                   whiten_multivariate)
 from synth import dataset_to_csv, motif_dataset, random_symbol_corpus
 
 REF = [1, 1, 2, 2, 2, 0, 0, 0, 4]
@@ -67,9 +68,10 @@ def test_criterion_02_stop_threshold_arithmetic(tmp_path):
 
 
 def test_criterion_03_miner_matches_naive_reference():
-    # 500 random corpora: the incremental miner must agree with the
-    # recount-from-scratch reference rule for rule and produce the same
-    # encoded corpora, across a spread of stopping parameters.
+    # 500 random corpora: the flat-array miner must agree with the
+    # per-pair greedy reference rule for rule, and encoding each corpus with
+    # the mined vocabulary must give the reference's final corpus, across a
+    # spread of stopping parameters.
     rng = random.Random(95014)
     t0 = time.perf_counter()
     for _ in range(500):
@@ -77,7 +79,8 @@ def test_criterion_03_miner_matches_naive_reference():
                                       alphabet=6)
         P = rng.choice([0.1, 0.2, 0.3, 0.5])
         U = rng.choice([0.0005, 0.001, 0.05, 0.2])
-        vocab, encoded = fit_bpe(corpus, 6, P=P, U=U, return_encoded=True)
+        vocab = fit_bpe(corpus, 6, P=P, U=U)
+        encoded = encode_corpus(corpus, vocab)
         ref_rules, ref_corpus = naive_fit(corpus, 6, P=P, U=U)
         got = [(r.new_symbol, r.left, r.right, r.train_frequency,
                 r.train_series_support) for r in vocab.rules]

@@ -4,51 +4,65 @@ import random
 
 import pytest
 
-from naive_bpe import count_all, count_one, naive_fit
-from pdbpe import DataError, decode_pattern, encode, fit_bpe
-from pdbpe.bpe import _series_pair_counts, count_pairs
+from naive_bpe import count_all, naive_fit
+from pdbpe import (DataError, MergeRule, decode_pattern, encode, encode_corpus,
+                   fit_bpe)
+
+
+def _first_rule(corpus, base_size):
+    """(left, right, frequency, support) of the first merge with no stopping
+    floor, or None when the corpus has no pair."""
+    vocab = fit_bpe(corpus, base_size, P=0.0, U=0.0)
+    if not vocab.rules:
+        return None
+    r = vocab.rules[0]
+    return r.left, r.right, r.train_frequency, r.train_series_support
 
 
 def test_pair_counts_run_semantics():
     # A run of length L holds floor(L/2) self-pairs.
-    assert _series_pair_counts([7, 7, 7]) == {(7, 7): 1}
-    assert _series_pair_counts([7] * 4) == {(7, 7): 2}
-    assert _series_pair_counts([7] * 5) == {(7, 7): 2}
+    assert _first_rule([[7, 7, 7]], 8) == (7, 7, 1, 1)
+    assert _first_rule([[7] * 4], 8) == (7, 7, 2, 1)
+    assert _first_rule([[7] * 5], 8) == (7, 7, 2, 1)
     # Alternating symbols never self-pair; each boundary counts once.
-    assert _series_pair_counts([0, 1, 0, 1]) == {(0, 1): 2, (1, 0): 1}
-    assert _series_pair_counts([]) == {}
-    assert _series_pair_counts([3]) == {}
+    assert count_all([[0, 1, 0, 1]])[0] == {(0, 1): 2, (1, 0): 1}
+    assert _first_rule([[0, 1, 0, 1]], 2) == (0, 1, 2, 1)
+    assert _first_rule([[]], 4) is None
+    assert _first_rule([[3]], 4) is None
 
 
 def test_count_pairs_support_is_per_series():
-    stats = count_pairs([[0, 1, 0, 1], [0, 1], [2, 2]])
-    assert stats[(0, 1)] == (3, 2)
-    assert stats[(2, 2)] == (1, 1)
+    vocab = fit_bpe([[0, 1, 0, 1], [0, 1], [2, 2]], 3, P=0.0, U=0.0)
+    rules = [(r.left, r.right, r.train_frequency, r.train_series_support)
+             for r in vocab.rules]
+    assert rules[0] == (0, 1, 3, 2)
+    # After the merge, (2, 2) and (3, 3) both occur once; the smaller wins.
+    assert rules[1] == (2, 2, 1, 1)
 
 
 def test_pair_counts_match_naive_scan():
     rng = random.Random(4321)
     for _ in range(300):
         seq = [rng.randrange(5) for _ in range(rng.randint(0, 60))]
-        fast = _series_pair_counts(seq)
-        pairs = {(seq[i], seq[i + 1]) for i in range(len(seq) - 1)}
-        slow = {p: count_one(seq, p[0], p[1]) for p in pairs}
-        slow = {p: c for p, c in slow.items() if c > 0}
-        assert fast == slow
+        freq, _support = count_all([seq])
+        want = None
+        if freq:
+            best = min(freq, key=lambda p: (-freq[p], p))
+            want = (*best, freq[best], 1)
+        assert _first_rule([seq], 5) == want
 
 
 def test_single_merge_worked_example():
     # One series [0,1,0,1,0,1]: T = 5 slots, threshold = max(1*0.2, 5*0.4)
     # = 2.0. (0,1) occurs 3 times -> merged into symbol 2; the second round
     # best pair (2,2) has frequency 1 < 2, so mining stops.
-    vocab, encoded = fit_bpe([[0, 1, 0, 1, 0, 1]], base_size=2, P=0.2, U=0.4,
-                             return_encoded=True)
+    vocab = fit_bpe([[0, 1, 0, 1, 0, 1]], base_size=2, P=0.2, U=0.4)
     assert len(vocab.rules) == 1
     rule = vocab.rules[0]
     assert (rule.new_symbol, rule.left, rule.right) == (2, 0, 1)
     assert rule.train_frequency == 3
     assert rule.train_series_support == 1
-    assert encoded == [[2, 2, 2]]
+    assert encode_corpus([[0, 1, 0, 1, 0, 1]], vocab) == [[2, 2, 2]]
     assert vocab.initial_pair_slots == 5
     assert vocab.stop_threshold == 2.0
 
@@ -110,8 +124,7 @@ def test_out_of_range_symbols_rejected():
 
 
 def test_decode_expands_nested_rules():
-    vocab, encoded = fit_bpe([[0, 1, 0, 1, 0, 1, 0, 1]], base_size=2,
-                             P=0.2, U=0.1, return_encoded=True)
+    vocab = fit_bpe([[0, 1, 0, 1, 0, 1, 0, 1]], base_size=2, P=0.2, U=0.1)
     # First merge (0,1)->2, then (2,2)->3.
     assert [(r.left, r.right) for r in vocab.rules[:2]] == [(0, 1), (2, 2)]
     assert decode_pattern(3, vocab) == (0, 1, 0, 1)
@@ -126,8 +139,10 @@ def test_encode_reproduces_training_form():
     for _ in range(100):
         corpus = [[rng.randrange(4) for _ in range(rng.randint(0, 40))]
                   for _ in range(rng.randint(1, 8))]
-        vocab, encoded = fit_bpe(corpus, base_size=4, return_encoded=True)
-        for original, final in zip(corpus, encoded):
+        vocab = fit_bpe(corpus, base_size=4)
+        _rules, final_corpus = naive_fit(corpus, 4)
+        assert encode_corpus(corpus, vocab) == final_corpus
+        for original, final in zip(corpus, final_corpus):
             assert encode(original, vocab) == final
 
 
@@ -156,13 +171,63 @@ def test_miner_matches_naive_oracle_on_random_corpora():
                   for _ in range(rng.randint(1, 10))]
         P = rng.choice([0.1, 0.2, 0.5])
         U = rng.choice([0.001, 0.05, 0.2])
-        vocab, encoded = fit_bpe(corpus, base_size=alphabet, P=P, U=U,
-                                 return_encoded=True)
+        vocab = fit_bpe(corpus, base_size=alphabet, P=P, U=U)
         want_rules, want_seqs = naive_fit(corpus, alphabet, P=P, U=U)
         got_rules = [(r.new_symbol, r.left, r.right, r.train_frequency,
                       r.train_series_support) for r in vocab.rules]
         assert got_rules == want_rules, f"trial {trial}"
-        assert encoded == want_seqs, f"trial {trial}"
+        assert encode_corpus(corpus, vocab) == want_seqs, f"trial {trial}"
+
+
+def _assert_matches_oracle(corpus, base_size, P, U):
+    """fit_bpe equals naive_fit rule for rule, and both encode_corpus and
+    per-series encode give naive_fit's final corpus."""
+    vocab = fit_bpe(corpus, base_size, P=P, U=U)
+    want_rules, want_seqs = naive_fit(corpus, base_size, P=P, U=U)
+    assert [(r.new_symbol, r.left, r.right, r.train_frequency,
+             r.train_series_support) for r in vocab.rules] == want_rules
+    assert encode_corpus(corpus, vocab) == want_seqs
+    assert [encode(seq, vocab) for seq in corpus] == want_seqs
+    return vocab
+
+
+def test_self_pair_run_across_series_boundary():
+    # Two runs of 0 meet at a series boundary: each holds one (0, 0), and
+    # the pair never spans the boundary.
+    vocab = _assert_matches_oracle([[1, 0, 0, 0], [0, 0, 0, 1]], 2, 0.0, 0.0)
+    assert vocab.rules[0] == MergeRule(2, 0, 0, 2, 2)
+    rng = random.Random(31)
+    for _ in range(200):
+        corpus = [[0] * rng.randint(0, 5)
+                  + [rng.randrange(3) for _ in range(rng.randint(0, 8))]
+                  + [0] * rng.randint(0, 5)
+                  for _ in range(rng.randint(2, 6))]
+        _assert_matches_oracle(corpus, 3, rng.choice([0.0, 0.2]),
+                               rng.choice([0.0, 0.05]))
+
+
+def test_empty_and_single_symbol_series_between_others():
+    rng = random.Random(32)
+    for _ in range(200):
+        corpus = [rng.choice([[], [rng.randrange(3)],
+                              [rng.randrange(3)
+                               for _ in range(rng.randint(2, 20))]])
+                  for _ in range(rng.randint(1, 8))]
+        _assert_matches_oracle(corpus, 3, rng.choice([0.0, 0.2]),
+                               rng.choice([0.0, 0.05]))
+
+
+@pytest.mark.parametrize("n_series,length", [(4, 20), (12, 500)])
+def test_large_base_alphabet(n_series, length):
+    # K=100 step differences: 199 base symbols, mostly near the zero step
+    # (99) with the extremes 0 and 198 mixed in. The small corpus has far
+    # fewer pair slots than 199*199 possible pairs; the large one has more.
+    rng = random.Random(33 + length)
+    symbols = [0, 96, 97, 98, 99, 99, 99, 100, 101, 102, 198]
+    corpus = [[rng.choice(symbols) for _ in range(length)]
+              for _ in range(n_series)]
+    vocab = _assert_matches_oracle(corpus, 199, 0.2, 0.01)
+    assert vocab.rules
 
 
 def test_oracle_helpers_agree_on_simple_case():

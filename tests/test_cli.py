@@ -255,23 +255,86 @@ def test_transform_unknown_channel_fails(tmp_path, capsys):
     assert "channel" in capsys.readouterr().err
 
 
-def test_transform_model_missing_key_is_data_error(tmp_path, capsys):
+def _transform_corrupted_model(tmp_path, corrupt):
+    """Run `pdbpe transform` in a subprocess with a freshly discovered model
+    that corrupt(doc) has edited."""
     data, _ = _write_motif_corpus(tmp_path)
     model_path = tmp_path / "m.json"
-    main(["discover", "--data", data, "--k", "4", "--w", "3",
-          "--model-out", str(model_path),
-          "--features-out", str(tmp_path / "f.csv")])
-    capsys.readouterr()
+    assert main(["discover", "--data", data, "--k", "4", "--w", "3",
+                 "--model-out", str(model_path),
+                 "--features-out", str(tmp_path / "f.csv")]) == 0
     doc = json.loads(model_path.read_text())
-    del doc["n_training_series"]
+    corrupt(doc)
     model_path.write_text(json.dumps(doc))
-    r = subprocess.run([sys.executable, "-m", "pdbpe.cli", "transform",
-                        "--model", str(model_path), "--data", data,
-                        "--features-out", str(tmp_path / "g.csv")],
-                       capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-m", "pdbpe.cli", "transform",
+                           "--model", str(model_path), "--data", data,
+                           "--features-out", str(tmp_path / "g.csv")],
+                          capture_output=True, text=True)
+
+
+def test_transform_model_missing_key_is_data_error(tmp_path, capsys):
+    r = _transform_corrupted_model(
+        tmp_path, lambda doc: doc.pop("n_training_series"))
     assert r.returncode == 2, r.stderr
     assert "Traceback" not in r.stderr
     assert "n_training_series" in r.stderr
+
+
+def _left_out_of_range(rules):
+    rules[0][1] = 999
+
+
+def _left_is_later_symbol(rules):
+    rules[0][1] = rules[3][0]
+
+
+def _new_symbol_gap(rules):
+    rules[2][0] = 500
+
+
+@pytest.mark.parametrize("corrupt_rules", [
+    _left_out_of_range, _left_is_later_symbol, _new_symbol_gap])
+def test_transform_rejects_invalid_merge_rules(tmp_path, capsys, corrupt_rules):
+    r = _transform_corrupted_model(
+        tmp_path,
+        lambda doc: corrupt_rules(doc["vocabularies"]["hr"]["original"]["rules"]))
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert "vocabulary hr/original: rule" in r.stderr
+    assert not (tmp_path / "g.csv").exists()
+
+
+def _base_size_mismatch(doc):
+    doc["vocabularies"]["hr"]["rcs"]["base_size"] = 7
+
+
+def _view_missing(doc):
+    del doc["vocabularies"]["hr"]["rcs"]
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (_base_size_mismatch, "vocabulary hr/rcs: base_size 7, expected 4"),
+    (_view_missing, "vocabularies do not cover")])
+def test_transform_rejects_invalid_vocabularies(tmp_path, capsys, corrupt,
+                                                message):
+    r = _transform_corrupted_model(tmp_path, corrupt)
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert message in r.stderr
+
+
+@pytest.mark.parametrize("flags", [
+    ["--k-grid", "3,x"], ["--folds", "1"],
+    ["--k-grid", "3,4", "--inner-folds", "1"], ["--knn-k", "0"]])
+def test_evaluate_bad_flag_values_are_usage_errors(tmp_path, capsys, flags):
+    data, labels = _write_motif_corpus(tmp_path, n=12)
+    argv = ["evaluate", "--data", data, "--labels", labels, "--k", "4",
+            "--w", "3", "--folds", "3", "--report-out",
+            str(tmp_path / "r.txt")]
+    code = main(argv + flags)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("pdbpe: error: ")
+    assert not (tmp_path / "r.txt").exists()
 
 
 def test_centroid_flow_through_cli(tmp_path, capsys):
