@@ -58,6 +58,18 @@ class Vocabulary:
     stop_threshold: float = 0.0
     _decoded: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
 
+    def __post_init__(self) -> None:
+        # Rule i defines base_size + i from symbols defined before it; then
+        # one encode pass per rule, in learned order, reproduces mining.
+        for i, rule in enumerate(self.rules):
+            if rule.new_symbol != self.base_size + i:
+                raise DataError(f"rule {i} defines symbol {rule.new_symbol}, "
+                                f"expected {self.base_size + i}")
+            if not (0 <= rule.left < rule.new_symbol
+                    and 0 <= rule.right < rule.new_symbol):
+                raise DataError(f"rule {i} merges ({rule.left}, {rule.right}); "
+                                f"both must be in [0, {rule.new_symbol})")
+
     @property
     def size(self) -> int:
         return self.base_size + len(self.rules)
@@ -81,7 +93,16 @@ def _flatten(corpus: Iterable[Sequence[int]], base_size: int,
              what: str) -> tuple[np.ndarray, np.ndarray, int]:
     """(tokens, series index per token, series count) of a corpus whose
     symbols must all lie in [0, base_size)."""
-    seqs = [np.asarray(seq, dtype=np.int64) for seq in corpus]
+    corpus = list(corpus)
+    try:
+        seqs = [np.asarray(seq, dtype=np.int64) for seq in corpus]
+    except OverflowError:
+        # A symbol beyond int64 is outside any alphabet; name the first one
+        # outside this alphabet, as the array check below would.
+        bad_sym = next(int(x) for seq in corpus for x in seq
+                       if not 0 <= int(x) < base_size)
+        raise DataError(f"{what} {bad_sym} outside base alphabet "
+                        f"[0, {base_size})") from None
     lengths = [seq.size for seq in seqs]
     tok = np.concatenate(seqs) if seqs else np.zeros(0, dtype=np.int64)
     bad = np.flatnonzero((tok < 0) | (tok >= base_size))
@@ -114,19 +135,6 @@ def _occurrences(tok: np.ndarray, same: np.ndarray, left: int,
     (left, right), ascending."""
     pos = np.flatnonzero(same & (tok[:-1] == left) & (tok[1:] == right))
     return pos[_even_run_offset(pos)] if left == right else pos
-
-
-def _most_frequent(codes: np.ndarray, V: int) -> tuple[int, int]:
-    """(code, count) of the most frequent pair code; ties go to the smallest
-    code. Counts by bincount over all V*V codes unless that table would be
-    much larger than the codes themselves."""
-    if V * V <= 8 * codes.size:
-        counts = np.bincount(codes)
-        code = int(np.argmax(counts))
-        return code, int(counts[code])
-    uniq, counts = np.unique(codes, return_counts=True)
-    i = int(np.argmax(counts))
-    return int(uniq[i]), int(counts[i])
 
 
 def _merge(tok: np.ndarray, sid: np.ndarray, hits: np.ndarray,
@@ -162,7 +170,9 @@ def fit_bpe(corpus: Iterable[Sequence[int]], base_size: int,
             break
         V = base_size + len(rules)
         codes = tok[pos] * V + tok[pos + 1]
-        code, freq = _most_frequent(codes, V)
+        counts = np.bincount(codes)
+        code = int(np.argmax(counts))
+        freq = int(counts[code])
         if freq < threshold:
             break
         hits = pos[codes == code]

@@ -327,11 +327,8 @@ def _parse_grid(raw: str | None, flag: str) -> list[int] | None:
 def cmd_evaluate(args) -> int:
     k_grid = _parse_grid(args.k_grid, "--k-grid")
     w_grid = _parse_grid(args.w_grid, "--w-grid")
-    for flag, value, least in (("--folds", args.folds, 2),
-                               ("--inner-folds", args.inner_folds, 2),
-                               ("--knn-k", args.knn_k, 1)):
-        if value < least:
-            raise UsageError(f"{flag} must be at least {least}, got {value}")
+    if args.folds < 2:
+        raise UsageError(f"--folds must be at least 2, got {args.folds}")
     fields = _config_fields(args)
     if k_grid is None:
         if "K" not in fields:
@@ -341,6 +338,9 @@ def cmd_evaluate(args) -> int:
         if "W" not in fields:
             raise UsageError("provide --w, --w-grid, or W in a config file")
         w_grid = [fields["W"]]
+    if len(k_grid) * len(w_grid) > 1 and args.inner_folds < 2:
+        raise UsageError(f"--inner-folds must be at least 2 for a grid, "
+                         f"got {args.inner_folds}")
     fields["K"] = k_grid[0]
     fields["W"] = w_grid[0]
     base_config = PipelineConfig(**fields)
@@ -353,6 +353,8 @@ def cmd_evaluate(args) -> int:
     task = args.task
     if task == "auto":
         task = _detect_task([str(ts.label) for ts in labeled])
+    if task != "regression" and args.knn_k < 1:
+        raise UsageError(f"--knn-k must be at least 1, got {args.knn_k}")
     group_ids = None
     if args.group_aware:
         missing = [ts.id for ts in labeled if ts.group_id is None]

@@ -99,24 +99,6 @@ def _descriptor_to_dict(col: FeatureDescriptor) -> dict[str, Any]:
     }
 
 
-def _check_vocabulary(vocab: Vocabulary, base_size: int, where: str) -> None:
-    """Rules must number their symbols contiguously from the view's base size
-    and merge only symbols defined before them; then one pass per rule, in
-    learned order, encodes exactly as mining did."""
-    if vocab.base_size != base_size:
-        raise DataError(f"vocabulary {where}: base_size {vocab.base_size}, "
-                        f"expected {base_size}")
-    for i, rule in enumerate(vocab.rules):
-        if rule.new_symbol != base_size + i:
-            raise DataError(f"vocabulary {where}: rule {i} defines symbol "
-                            f"{rule.new_symbol}, expected {base_size + i}")
-        if not (0 <= rule.left < rule.new_symbol
-                and 0 <= rule.right < rule.new_symbol):
-            raise DataError(f"vocabulary {where}: rule {i} merges "
-                            f"({rule.left}, {rule.right}); both must be in "
-                            f"[0, {rule.new_symbol})")
-
-
 def model_from_dict(doc: dict[str, Any]) -> FittedModel:
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise DataError("not a pdbpe model artifact")
@@ -152,18 +134,28 @@ def model_from_dict(doc: dict[str, Any]) -> FittedModel:
                                         right=int(r[2]), train_frequency=int(r[3]),
                                         train_series_support=int(r[4]))
                               for r in v["rules"])
-                vocabularies[(ch, variation)] = Vocabulary(
-                    base_size=int(v["base_size"]), rules=rules,
-                    n_series=int(v["n_series"]),
-                    initial_pair_slots=int(v["initial_pair_slots"]),
-                    stop_threshold=float(v["stop_threshold"]))
+                where = f"vocabulary {ch}/{variation.value}"
+                base_size = int(v["base_size"])
+                if base_size != config.base_size(variation):
+                    raise DataError(f"{where}: base_size {base_size}, "
+                                    f"expected {config.base_size(variation)}")
+                try:
+                    vocabularies[(ch, variation)] = Vocabulary(
+                        base_size=base_size, rules=rules,
+                        n_series=int(v["n_series"]),
+                        initial_pair_slots=int(v["initial_pair_slots"]),
+                        stop_threshold=float(v["stop_threshold"]))
+                except DataError as exc:
+                    raise DataError(f"{where}: {exc}") from None
         views = {(ch, v) for ch in mined_channels for v in config.variations}
         if set(vocabularies) != views:
             raise DataError("vocabularies do not cover exactly the mined "
                             "channels and configured variations")
-        for (ch, variation), vocab in vocabularies.items():
-            _check_vocabulary(vocab, config.base_size(variation),
-                              f"{ch}/{variation.value}")
+        for what, table in (("discretizer", discretizers),
+                            ("run-length medians", rcsm_medians)):
+            missing = [ch for ch in mined_channels if ch not in table]
+            if missing:
+                raise DataError(f"no {what} for mined channels {missing}")
         sch = doc["schema"]
         columns = tuple(FeatureDescriptor(
             channel=c["channel"], variation=parse_variation(c["variation"]),

@@ -97,11 +97,11 @@ def variation_sequence(original: np.ndarray, variation: Variation,
     raise DataError(f"unhandled variation {variation}")
 
 
-def _discretize(streams: list[dict[str, np.ndarray]],
+def _discretize(streams: list[dict[str, np.ndarray]], mined: tuple[str, ...],
                 discretizers: dict[str, Discretizer]) -> list[dict[str, np.ndarray]]:
     """Base-symbol sequence per series and mined channel."""
-    return [{ch: apply_discretizer(s[ch], disc)
-             for ch, disc in discretizers.items()} for s in streams]
+    return [{ch: apply_discretizer(s[ch], discretizers[ch]) for ch in mined}
+            for s in streams]
 
 
 def _view_corpora(original: list[dict[str, np.ndarray]],
@@ -157,7 +157,7 @@ def fit_pipeline(dataset: Dataset, config: PipelineConfig,
         pooled = np.concatenate([s[ch] for s in streams])
         discretizers[ch] = fit_discretizer(pooled, config.K, config.iqr_multiplier)
 
-    original = _discretize(streams, discretizers)
+    original = _discretize(streams, mined, discretizers)
 
     rcsm_medians: dict[str, RcsmMedians] = {}
     for ch in mined:
@@ -192,22 +192,14 @@ def fit_pipeline(dataset: Dataset, config: PipelineConfig,
     schema.variance_kept = tuple(bool(b) for b in variance_kept)
     schema.final_kept = tuple(bool(b) for b in final_kept)
 
-    values = raw.values[:, final_kept]
-    names = schema.final_names()
-
-    centroid_table = None
-    if centroids:
-        gids = [ts.group_id for ts in dataset]
-        values, centroid_table = centroid_augment(values, gids)
-        names = names + tuple(CENTROID_PREFIX + nm for nm in schema.final_names())
-
     model = FittedModel(config=config, channels=dataset.channels,
                         mined_channels=mined, n_training_series=n,
                         discretizers=discretizers, rcsm_medians=rcsm_medians,
-                        vocabularies=vocabularies, schema=schema,
-                        centroid_table=centroid_table)
-    matrix = FeatureMatrix(ids=dataset.ids, names=names, values=values)
-    return model, matrix
+                        vocabularies=vocabularies, schema=schema)
+    values, model.centroid_table = _output_values(model, dataset, raw.values,
+                                                  centroids)
+    return model, FeatureMatrix(ids=dataset.ids, names=model.output_names(),
+                                values=values)
 
 
 def transform_dataset(model: FittedModel, dataset: Dataset) -> FeatureMatrix:
@@ -220,21 +212,28 @@ def transform_dataset(model: FittedModel, dataset: Dataset) -> FeatureMatrix:
     """
     dataset = _align_channels(dataset, model.channels)
     streams = [_paa_streams(ts, model.config) for ts in dataset.series]
-    corpora = _view_corpora(_discretize(streams, model.discretizers),
+    corpora = _view_corpora(_discretize(streams, model.mined_channels,
+                                        model.discretizers),
                             model.mined_channels, model.config,
                             model.rcsm_medians)
     encoded = {key: encode_corpus(corpus, model.vocabularies[key])
                for key, corpus in corpora.items()}
     raw = assemble_matrix(dataset.ids, encoded, model.schema).values
-    final_kept = np.asarray(model.schema.final_kept, dtype=bool) \
-        if model.schema.final_kept is not None else np.ones(raw.shape[1], bool)
-    values = raw[:, final_kept]
-    names = model.schema.final_names()
-    if model.centroid_table is not None:
-        gids = [ts.group_id for ts in dataset]
-        values, _table = centroid_augment(values, gids)
-        names = names + tuple(CENTROID_PREFIX + nm for nm in model.schema.final_names())
-    return FeatureMatrix(ids=dataset.ids, names=names, values=values)
+    values, _table = _output_values(model, dataset, raw,
+                                    model.centroid_table is not None)
+    return FeatureMatrix(ids=dataset.ids, names=model.output_names(),
+                         values=values)
+
+
+def _output_values(model: FittedModel, dataset: Dataset, raw: np.ndarray,
+                   centroids: bool) -> tuple[np.ndarray, dict[str, np.ndarray] | None]:
+    """The columns kept by pruning and, with centroids, each row's group
+    mean appended; also the group-centroid table (None without centroids)."""
+    kept = model.schema.final_kept
+    values = raw if kept is None else raw[:, np.asarray(kept, dtype=bool)]
+    if not centroids:
+        return values, None
+    return centroid_augment(values, [ts.group_id for ts in dataset])
 
 
 def _variation_token_spans(original: np.ndarray, variation: Variation,
@@ -291,11 +290,11 @@ def pattern_spans(model: FittedModel, dataset: Dataset,
     result: dict[str, dict[str, list[tuple[int, int]]]] = {d.name: {} for d in descriptors}
     W = model.config.W
     for ts in dataset:
-        streams = _paa_streams(ts, model.config)
+        [original] = _discretize([_paa_streams(ts, model.config)],
+                                 model.mined_channels, model.discretizers)
         for (ch, variation), descs in needed.items():
-            original = apply_discretizer(streams[ch], model.discretizers[ch])
             seq, starts, ends = _variation_token_spans(
-                original, variation, model.rcsm_medians[ch], model.config.K)
+                original[ch], variation, model.rcsm_medians[ch], model.config.K)
             for desc in descs:
                 pattern = list(desc.decoded)
                 hits = _find_occurrences(seq, pattern)

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from naive_bpe import count_all, naive_fit
-from pdbpe import (DataError, MergeRule, decode_pattern, encode, encode_corpus,
-                   fit_bpe)
+from pdbpe import (DataError, MergeRule, Vocabulary, decode_pattern, encode,
+                   encode_corpus, fit_bpe)
 
 
 def _first_rule(corpus, base_size):
@@ -121,6 +121,20 @@ def test_out_of_range_symbols_rejected():
         fit_bpe([[0, 5]], base_size=4)
     with pytest.raises(DataError):
         fit_bpe([[-1, 0]], base_size=4)
+    with pytest.raises(DataError, match="corpus symbol 5 outside"):
+        fit_bpe([[0, 5, 2**63]], base_size=4)
+    with pytest.raises(DataError, match=f"symbol {2**63} outside"):
+        encode([0, 2**63], fit_bpe([[0, 1, 0, 1]], base_size=2))
+
+
+@pytest.mark.parametrize("rule,message", [
+    (MergeRule(3, 0, 1, 1, 1), "rule 0 defines symbol 3, expected 2"),
+    (MergeRule(2, 0, 2, 1, 1), r"rule 0 merges \(0, 2\)"),
+    (MergeRule(2, -1, 0, 1, 1), r"rule 0 merges \(-1, 0\)")],
+    ids=["symbol-gap", "forward-operand", "negative-operand"])
+def test_vocabulary_rejects_rules_encode_cannot_replay(rule, message):
+    with pytest.raises(DataError, match=message):
+        Vocabulary(base_size=2, rules=(rule,))
 
 
 def test_decode_expands_nested_rules():
@@ -221,7 +235,8 @@ def test_empty_and_single_symbol_series_between_others():
 def test_large_base_alphabet(n_series, length):
     # K=100 step differences: 199 base symbols, mostly near the zero step
     # (99) with the extremes 0 and 198 mixed in. The small corpus has far
-    # fewer pair slots than 199*199 possible pairs; the large one has more.
+    # fewer pair slots than the 199*199 pair-count table; the large one has
+    # more.
     rng = random.Random(33 + length)
     symbols = [0, 96, 97, 98, 99, 99, 99, 100, 101, 102, 198]
     corpus = [[rng.choice(symbols) for _ in range(length)]

@@ -337,6 +337,50 @@ def test_evaluate_bad_flag_values_are_usage_errors(tmp_path, capsys, flags):
     assert not (tmp_path / "r.txt").exists()
 
 
+@pytest.mark.parametrize("task_flags,flags", [
+    ([], ["--knn-k", "0"]), (["--task", "regression"], ["--knn-k", "0"]),
+    ([], ["--inner-folds", "1"])],
+    ids=["auto-knn-k", "regression-knn-k", "single-point-inner-folds"])
+def test_evaluate_ignores_flags_the_run_does_not_use(tmp_path, capsys,
+                                                     task_flags, flags):
+    # Ridge regression has no k-NN; one (K, W) point has no inner split.
+    data, _ = _write_motif_corpus(tmp_path, n=12)
+    labels = tmp_path / "reg_labels.csv"
+    with open(labels, "w") as fh:
+        fh.write("series_id,label\n")
+        for i in range(12):
+            fh.write(f"s{i},{i * 0.5}\n")
+    report = tmp_path / "r.txt"
+    code = main(["evaluate", "--data", data, "--labels", str(labels),
+                 "--k", "4", "--w", "3", "--folds", "3",
+                 "--report-out", str(report)] + task_flags + flags)
+    assert code == 0, capsys.readouterr().err
+    assert "task: regression" in report.read_text()
+
+
+def _extra_discretizer(doc):
+    doc["discretizers"]["spare"] = doc["discretizers"]["hr"]
+
+
+
+
+def test_transform_ignores_extra_discretizer(tmp_path, capsys):
+    r = _transform_corrupted_model(tmp_path, _extra_discretizer)
+    assert r.returncode == 0, r.stderr
+    assert (tmp_path / "g.csv").read_bytes() == (tmp_path / "f.csv").read_bytes()
+
+
+@pytest.mark.parametrize("table,what", [
+    ("discretizers", "discretizer"), ("rcsm_medians", "run-length medians")])
+def test_transform_rejects_missing_channel_tables(tmp_path, capsys, table,
+                                                  what):
+    r = _transform_corrupted_model(tmp_path,
+                                   lambda doc: doc[table].pop("hr"))
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert f"no {what} for mined channels ['hr']" in r.stderr
+
+
 def test_centroid_flow_through_cli(tmp_path, capsys):
     data, labels = _write_motif_corpus(tmp_path)
     model_path = str(tmp_path / "m.json")
