@@ -1,4 +1,4 @@
-"""Pair-merge pattern mining over symbol corpora.
+"""Pair-merge pattern mining over a flat token corpus.
 
 The miner repeatedly replaces the most frequent adjacent symbol pair with a
 fresh symbol, growing a vocabulary of variable-length patterns. Occurrences
@@ -7,13 +7,13 @@ symbol of length L holds floor(L/2) occurrences of its self-pair. Merging
 stops when the best pair's frequency drops below max(N*P, T*U), where N is
 the training series count and T the initial number of adjacent pair slots.
 
-A corpus is held flat: one int64 token array for all series, a series-index
-array beside it, and a ``same`` mask that is true where two adjacent tokens
-belong to one series. Pairs never cross a series boundary. A self-pair
-(a, a) counts only at even offsets inside its run of a, which is the
+A ``Corpus`` holds every series of one view end to end: one int64 token
+array, a non-decreasing series index beside it, and the series count (empty
+series included). Pairs never cross a series boundary. A self-pair (a, a)
+counts only at even offsets inside its run of a, which is the
 non-overlapping left-to-right convention in array form. The miner recounts
 every pair of the corpus on each iteration; encoding applies each rule to
-the whole corpus in one pass.
+the whole corpus in one pass and returns a new ``Corpus``.
 """
 
 from __future__ import annotations
@@ -89,27 +89,63 @@ class Vocabulary:
         return cached
 
 
-def _flatten(corpus: Iterable[Sequence[int]], base_size: int,
-             what: str) -> tuple[np.ndarray, np.ndarray, int]:
-    """(tokens, series index per token, series count) of a corpus whose
-    symbols must all lie in [0, base_size)."""
-    corpus = list(corpus)
-    try:
-        seqs = [np.asarray(seq, dtype=np.int64) for seq in corpus]
-    except OverflowError:
-        # A symbol beyond int64 is outside any alphabet; name the first one
-        # outside this alphabet, as the array check below would.
-        bad_sym = next(int(x) for seq in corpus for x in seq
-                       if not 0 <= int(x) < base_size)
-        raise DataError(f"{what} {bad_sym} outside base alphabet "
-                        f"[0, {base_size})") from None
-    lengths = [seq.size for seq in seqs]
-    tok = np.concatenate(seqs) if seqs else np.zeros(0, dtype=np.int64)
-    bad = np.flatnonzero((tok < 0) | (tok >= base_size))
+@dataclass(eq=False)
+class Corpus:
+    """Token sequences of many series, held flat.
+
+    tokens holds every series' tokens end to end and series[i] is the index
+    of the series token i belongs to, non-decreasing; n_series counts the
+    series, empty ones included. A Corpus is not iterable: from_sequences
+    and sequences are the only conversions from and to per-series lists.
+    """
+
+    tokens: np.ndarray
+    series: np.ndarray
+    n_series: int
+
+    __iter__ = None
+
+    def __post_init__(self) -> None:
+        self.tokens = np.asarray(self.tokens, dtype=np.int64)
+        self.series = np.asarray(self.series, dtype=np.int64)
+        sid = self.series
+        if (self.tokens.ndim != 1 or sid.shape != self.tokens.shape
+                or np.any(sid[1:] < sid[:-1])
+                or sid.size and not 0 <= sid[0] <= sid[-1] < self.n_series):
+            raise DataError(f"corpus needs one series index per token, "
+                            f"non-decreasing in [0, {self.n_series})")
+
+    @classmethod
+    def from_sequences(cls, sequences: Iterable[Sequence[int]]) -> Corpus:
+        """Corpus of per-series symbol lists; a symbol beyond int64 is a
+        DataError."""
+        seqs = list(sequences)
+        try:
+            parts = [np.asarray(seq, dtype=np.int64) for seq in seqs]
+        except OverflowError:
+            bad = next(int(x) for seq in seqs for x in seq
+                       if not -2**63 <= int(x) < 2**63)
+            raise DataError(f"symbol {bad} outside the int64 range") from None
+        tokens = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+        series = np.repeat(np.arange(len(parts)), [p.size for p in parts])
+        return cls(tokens, series, len(parts))
+
+    def sequences(self) -> list[list[int]]:
+        """Per-series token lists."""
+        ends = np.cumsum(self.lengths()).tolist()
+        flat = self.tokens.tolist()
+        return [flat[a:b] for a, b in zip([0] + ends, ends)]
+
+    def lengths(self) -> np.ndarray:
+        """Token count per series."""
+        return np.bincount(self.series, minlength=self.n_series)
+
+
+def _check_alphabet(tokens: np.ndarray, base_size: int, what: str) -> None:
+    bad = np.flatnonzero((tokens < 0) | (tokens >= base_size))
     if bad.size:
-        raise DataError(f"{what} {tok[bad[0]]} outside base alphabet "
+        raise DataError(f"{what} {tokens[bad[0]]} outside base alphabet "
                         f"[0, {base_size})")
-    return tok, np.repeat(np.arange(len(seqs)), lengths), len(seqs)
 
 
 def _even_run_offset(pos: np.ndarray) -> np.ndarray:
@@ -139,29 +175,32 @@ def _occurrences(tok: np.ndarray, same: np.ndarray, left: int,
 
 def _merge(tok: np.ndarray, sid: np.ndarray, hits: np.ndarray,
            new: int) -> tuple[np.ndarray, np.ndarray]:
-    """Replace the pairs starting at hits with the symbol new."""
-    tok[hits] = new
+    """Replace the pairs starting at hits with the symbol new; the inputs
+    are left as they are."""
     keep = np.ones(tok.size, dtype=bool)
     keep[hits + 1] = False
-    return tok[keep], sid[keep]
+    tok, sid = tok[keep], sid[keep]
+    # Each earlier hit dropped one token before this one.
+    tok[hits - np.arange(hits.size)] = new
+    return tok, sid
 
 
-def fit_bpe(corpus: Iterable[Sequence[int]], base_size: int,
-            n_series: int | None = None, P: float = 0.20,
+def fit_bpe(corpus: Corpus, base_size: int, P: float = 0.20,
             U: float = 0.001) -> Vocabulary:
-    """Learn a merge-rule vocabulary from a symbol corpus.
+    """Learn a merge-rule vocabulary from a base-symbol corpus.
 
     Each iteration recounts every pair of the flat corpus with one bincount
     over left*V + right codes (V the current vocabulary size), merges the
     most frequent pair and assigns it the next symbol id from base_size
     upward. argmax takes the first maximum, so ties go to the smallest
-    (left, right). An empty corpus yields an empty vocabulary. The training
-    corpus in its end-of-training form is encode_corpus(corpus, vocab).
+    (left, right). An empty corpus yields an empty vocabulary. N is
+    corpus.n_series. The training corpus in its end-of-training form is
+    encode_corpus(corpus, vocab).
     """
-    tok, sid, count = _flatten(corpus, base_size, "corpus symbol")
-    N = count if n_series is None else n_series
+    _check_alphabet(corpus.tokens, base_size, "corpus symbol")
+    tok, sid = corpus.tokens, corpus.series
     T = int(np.count_nonzero(sid[1:] == sid[:-1]))
-    threshold = max(N * P, T * U)
+    threshold = max(corpus.n_series * P, T * U)
 
     rules: list[MergeRule] = []
     while True:
@@ -183,14 +222,13 @@ def fit_bpe(corpus: Iterable[Sequence[int]], base_size: int,
                                train_series_support=support))
         tok, sid = _merge(tok, sid, hits, V)
 
-    return Vocabulary(base_size=base_size, rules=tuple(rules), n_series=N,
-                      initial_pair_slots=T, stop_threshold=threshold)
+    return Vocabulary(base_size=base_size, rules=tuple(rules),
+                      n_series=corpus.n_series, initial_pair_slots=T,
+                      stop_threshold=threshold)
 
 
-def encode_corpus(corpus: Iterable[Sequence[int]],
-                  vocab: Vocabulary) -> list[list[int]]:
-    """Apply the vocabulary's merge rules to every base-alphabet sequence of
-    a corpus.
+def encode_corpus(corpus: Corpus, vocab: Vocabulary) -> Corpus:
+    """Apply the vocabulary's merge rules to a base-alphabet corpus.
 
     Each rule, in learned order, replaces all its non-overlapping
     occurrences in one vectorized pass; later merges never recreate an
@@ -198,21 +236,15 @@ def encode_corpus(corpus: Iterable[Sequence[int]],
     error. Applied to a training corpus, this reproduces its end-of-training
     form exactly.
     """
-    tok, sid, count = _flatten(corpus, vocab.base_size, "symbol")
+    _check_alphabet(corpus.tokens, vocab.base_size, "symbol")
+    tok, sid = corpus.tokens, corpus.series
     for rule in vocab.rules:
         hits = _occurrences(tok, sid[1:] == sid[:-1], rule.left, rule.right)
         if hits.size:
             tok, sid = _merge(tok, sid, hits, rule.new_symbol)
-    ends = np.cumsum(np.bincount(sid, minlength=count)).tolist()
-    flat = tok.tolist()
-    return [flat[a:b] for a, b in zip([0] + ends, ends)]
+    return Corpus(tok, sid, corpus.n_series)
 
 
 def encode(symbols: Sequence[int], vocab: Vocabulary) -> list[int]:
     """Apply the vocabulary's merge rules to one base-alphabet sequence."""
-    return encode_corpus([symbols], vocab)[0]
-
-
-def decode_pattern(symbol: int, vocab: Vocabulary) -> tuple[int, ...]:
-    """Expand a vocabulary symbol into its base-alphabet sequence."""
-    return vocab.decode(symbol)
+    return encode_corpus(Corpus.from_sequences([symbols]), vocab).tokens.tolist()

@@ -26,7 +26,6 @@ from .features import anova_f_rank
 from .model_io import load_model, save_model
 from .pipeline import (FittedModel, fit_pipeline, pattern_spans,
                        transform_dataset)
-from .variations import offset_decode
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -206,8 +205,9 @@ def _duration_text(steps: int, W: int, period_minutes: float) -> str:
 
 def _decoded_display(model: FittedModel, desc) -> str:
     if desc.variation is Variation.AUTOREGRESSIVE:
-        symbols = offset_decode(desc.decoded, model.config.K)
-        return " ".join(f"{s:+d}" for s in symbols)
+        # Step symbols are shifted by K-1; show the signed step sizes.
+        shift = model.config.K - 1
+        return " ".join(f"{s - shift:+d}" for s in desc.decoded)
     return " ".join(str(s) for s in desc.decoded)
 
 

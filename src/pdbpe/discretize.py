@@ -6,14 +6,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import DataError, NumericError
 
 
 @dataclass(frozen=True)
 class Discretizer:
     """Equal-width binning fitted on pooled training values.
 
-    edges has K+1 ascending entries; bin width is (edges[-1] - edges[0]) / K.
+    edges has K+1 finite, non-decreasing entries with edges[0] < edges[-1];
+    bin width is (edges[-1] - edges[0]) / K.
     Application is total: values outside the fitted range are clamped into
     the extreme bins.
     """
@@ -25,6 +26,13 @@ class Discretizer:
 
     def __post_init__(self) -> None:
         edges = np.asarray(self.edges, dtype=np.float64)
+        # np.linspace over a tiny range may repeat an edge, so equal
+        # neighbours are allowed; only the whole range must be positive.
+        if (self.K < 1 or edges.shape != (self.K + 1,)
+                or not np.all(np.isfinite(edges))
+                or np.any(edges[1:] < edges[:-1]) or not edges[0] < edges[-1]):
+            raise DataError(f"bin edges must be {self.K + 1} finite, "
+                            f"non-decreasing values with first < last")
         edges.flags.writeable = False
         object.__setattr__(self, "edges", edges)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -9,7 +10,7 @@ import numpy as np
 
 from .core import Variation
 from .errors import DataError
-from .bpe import Vocabulary
+from .bpe import Corpus, Vocabulary
 
 # Population variance below this counts as zero.
 VARIANCE_FLOOR = 1e-15
@@ -112,50 +113,39 @@ def build_schema(channels: Sequence[str], variations: Sequence[Variation],
     return FeatureSchema(columns=tuple(cols))
 
 
-def count_features(encoded: Sequence[int], symbol_ids: Sequence[int]) -> np.ndarray:
-    """Occurrence counts of each requested symbol in an encoded sequence,
-    normalized by the sequence's length. An empty sequence yields zeros;
-    symbols consumed by merges are not double counted (only the final token
-    stream is inspected)."""
-    out = np.zeros(len(symbol_ids), dtype=np.float64)
-    n = len(encoded)
-    if n == 0:
-        return out
-    counts: dict[int, int] = {}
-    for sym in encoded:
-        counts[sym] = counts.get(sym, 0) + 1
-    for i, sym in enumerate(symbol_ids):
-        c = counts.get(sym)
-        if c:
-            out[i] = c / n
-    return out
-
-
-def assemble_matrix(ids: Sequence[str],
-                    encoded: dict[tuple[str, Variation], list[Sequence[int]]],
+def assemble_matrix(ids: Sequence[str], encoded: dict[tuple[str, Variation], Corpus],
                     schema: FeatureSchema) -> FeatureMatrix:
-    """Stack per-series normalized counts into a matrix over schema.columns.
+    """Per-series occurrence counts of each column's symbol in the final
+    token streams, divided by the series' token count, over schema.columns.
 
-    encoded maps each (channel, variation) to per-series final token
-    sequences aligned with ids. Rows follow the given id order.
+    encoded maps each (channel, variation) to the encoded corpus of the
+    series in ids, in that order. Symbols consumed by merges are not double
+    counted, and a series with no tokens gets zeros.
     """
-    groups: list[tuple[tuple[str, Variation], list[int]]] = []
-    key_order: list[tuple[str, Variation]] = []
-    for col in schema.columns:
-        key = (col.channel, col.variation)
-        if not key_order or key_order[-1] != key:
-            key_order.append(key)
-            groups.append((key, []))
-        groups[-1][1].append(col.symbol)
-    for key, _syms in groups:
-        if key not in encoded:
-            raise DataError(f"missing encoded sequences for channel "
-                            f"{key[0]!r} variation {key[1].value!r}")
     n = len(ids)
     values = np.zeros((n, len(schema.columns)), dtype=np.float64)
-    for i in range(n):
-        parts = [count_features(encoded[key][i], syms) for key, syms in groups]
-        values[i] = np.concatenate(parts) if parts else ()
+    begin = 0
+    for key, group in itertools.groupby(schema.columns,
+                                        key=lambda c: (c.channel, c.variation)):
+        syms = np.array([c.symbol for c in group])
+        m = syms.size
+        corpus = encoded.get(key)
+        if corpus is None or corpus.n_series != n:
+            raise DataError(f"missing encoded sequences for channel "
+                            f"{key[0]!r} variation {key[1].value!r}")
+        # Token -> column of this block, -1 for a token without a column; a
+        # column symbol that no token reaches stays all zeros.
+        column = np.full(1 + int(corpus.tokens.max(initial=-1)), -1)
+        inside = (syms >= 0) & (syms < column.size)
+        column[syms[inside]] = np.flatnonzero(inside)
+        cols = column[corpus.tokens]
+        hit = cols >= 0
+        counts = np.bincount(corpus.series[hit] * m + cols[hit],
+                             minlength=n * m).reshape(n, m)
+        lengths = corpus.lengths()[:, None]
+        np.divide(counts, lengths, out=values[:, begin:begin + m],
+                  where=lengths > 0)
+        begin += m
     return FeatureMatrix(ids=tuple(ids),
                          names=tuple(c.name for c in schema.columns),
                          values=values)

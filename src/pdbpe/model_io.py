@@ -21,7 +21,6 @@ from .errors import DataError
 from .features import FeatureDescriptor, FeatureSchema
 from .bpe import MergeRule, Vocabulary
 from .pipeline import FittedModel
-from .variations import RcsmMedians
 
 FORMAT_NAME = "pdbpe-model"
 FORMAT_VERSION = 1
@@ -54,7 +53,7 @@ def model_to_dict(model: FittedModel) -> dict[str, Any]:
             } for ch, disc in model.discretizers.items()
         },
         "rcsm_medians": {
-            ch: {str(sym): med for sym, med in sorted(m.medians.items())}
+            ch: {str(sym): med for sym, med in sorted(m.items())}
             for ch, m in model.rcsm_medians.items()
         },
         "vocabularies": {
@@ -118,13 +117,19 @@ def model_from_dict(doc: dict[str, Any]) -> FittedModel:
         channels = tuple(doc["channels"])
         n_training_series = int(doc["n_training_series"])
         mined_channels = tuple(doc["mined_channels"])
-        discretizers = {
-            ch: Discretizer(K=int(d["K"]), lower_fence=float(d["lower_fence"]),
-                            upper_fence=float(d["upper_fence"]),
-                            edges=np.array(d["edges"], dtype=np.float64))
-            for ch, d in doc["discretizers"].items()}
+        discretizers = {}
+        for ch, d in doc["discretizers"].items():
+            try:
+                if int(d["K"]) != config.K:
+                    raise DataError(f"K {d['K']}, expected {config.K}")
+                discretizers[ch] = Discretizer(
+                    K=config.K, lower_fence=float(d["lower_fence"]),
+                    upper_fence=float(d["upper_fence"]),
+                    edges=np.array(d["edges"], dtype=np.float64))
+            except DataError as exc:
+                raise DataError(f"discretizer {ch}: {exc}") from None
         rcsm_medians = {
-            ch: RcsmMedians({int(sym): int(med) for sym, med in m.items()})
+            ch: {int(sym): int(med) for sym, med in m.items()}
             for ch, m in doc["rcsm_medians"].items()}
         vocabularies: dict[tuple[str, Variation], Vocabulary] = {}
         for ch, per_var in doc["vocabularies"].items():
@@ -162,12 +167,14 @@ def model_from_dict(doc: dict[str, Any]) -> FittedModel:
             symbol=int(c["symbol"]), decoded=tuple(int(s) for s in c["decoded"]),
             name=c["name"], is_pattern=bool(c["is_pattern"]))
             for c in sch["columns"])
-        schema = FeatureSchema(
-            columns=columns,
-            variance_kept=tuple(bool(b) for b in sch["variance_kept"])
-            if sch.get("variance_kept") is not None else None,
-            final_kept=tuple(bool(b) for b in sch["final_kept"])
-            if sch.get("final_kept") is not None else None)
+        masks = {}
+        for mask in ("variance_kept", "final_kept"):
+            kept = sch.get(mask)
+            if kept is not None and len(kept) != len(columns):
+                raise DataError(f"schema {mask} has {len(kept)} entries for "
+                                f"{len(columns)} columns")
+            masks[mask] = None if kept is None else tuple(bool(b) for b in kept)
+        schema = FeatureSchema(columns=columns, **masks)
         centroid_table = None
         if "centroids" in doc:
             centroid_table = {gid: np.array(vec, dtype=np.float64)

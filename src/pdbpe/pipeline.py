@@ -10,6 +10,7 @@ final token stream, pruned of zero-variance and highly correlated columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -20,11 +21,9 @@ from .errors import DataError
 from .features import (CENTROID_PREFIX, FeatureDescriptor, FeatureMatrix,
                        FeatureSchema, assemble_matrix, build_schema,
                        centroid_augment, drop_zero_variance, prune_correlated)
-from .bpe import Vocabulary, encode_corpus, fit_bpe
+from .bpe import Corpus, Vocabulary, encode_corpus, fit_bpe
 from .preprocess import collapse_series, paa, zscore_normalize
-from .variations import (RcsmMedians, apply_autoregressive, apply_rcs,
-                         apply_rcsm, fit_rcsm_medians, offset_encode,
-                         run_lengths)
+from .variations import fit_rcsm_medians, view
 
 # Pseudo-channel name used when multichannel input is whitened and collapsed.
 COLLAPSED_CHANNEL = "combined"
@@ -42,13 +41,10 @@ class FittedModel:
     mined_channels: tuple[str, ...]
     n_training_series: int
     discretizers: dict[str, Discretizer]
-    rcsm_medians: dict[str, RcsmMedians]
+    rcsm_medians: dict[str, dict[int, int]]
     vocabularies: dict[tuple[str, Variation], Vocabulary]
     schema: FeatureSchema
     centroid_table: dict[str, np.ndarray] | None = None
-
-    def base_size(self, variation: Variation) -> int:
-        return self.config.base_size(variation)
 
     def pattern_counts(self) -> tuple[int, int]:
         """(patterns mined, patterns emitted as columns after the support
@@ -83,34 +79,26 @@ def _paa_streams(ts: TimeSeries, config: PipelineConfig) -> dict[str, np.ndarray
     return out
 
 
-def variation_sequence(original: np.ndarray, variation: Variation,
-                       medians: RcsmMedians, K: int) -> list[int]:
-    """Derive one variation's symbol sequence in miner (nonnegative) space."""
-    if variation is Variation.ORIGINAL:
-        return [int(s) for s in original]
-    if variation is Variation.RCS:
-        return apply_rcs(original)
-    if variation is Variation.RCSM:
-        return apply_rcsm(original, medians)
-    if variation is Variation.AUTOREGRESSIVE:
-        return offset_encode(apply_autoregressive(original), K)
-    raise DataError(f"unhandled variation {variation}")
+def _symbols(streams: list[dict[str, np.ndarray]], mined: tuple[str, ...],
+             discretizers: dict[str, Discretizer]) -> dict[str, Corpus]:
+    """Base-symbol corpus of every series per mined channel."""
+    out = {}
+    for ch in mined:
+        parts = [s[ch] for s in streams]
+        series = np.repeat(np.arange(len(parts)), [p.size for p in parts])
+        out[ch] = Corpus(apply_discretizer(np.concatenate(parts),
+                                           discretizers[ch]),
+                         series, len(parts))
+    return out
 
 
-def _discretize(streams: list[dict[str, np.ndarray]], mined: tuple[str, ...],
-                discretizers: dict[str, Discretizer]) -> list[dict[str, np.ndarray]]:
-    """Base-symbol sequence per series and mined channel."""
-    return [{ch: apply_discretizer(s[ch], discretizers[ch]) for ch in mined}
-            for s in streams]
-
-
-def _view_corpora(original: list[dict[str, np.ndarray]],
-                  mined: tuple[str, ...], config: PipelineConfig,
-                  medians: dict[str, RcsmMedians]) -> dict[tuple[str, Variation], list[list[int]]]:
-    """Per (channel, variation), every series' symbol sequence in that view."""
-    return {(ch, variation): [variation_sequence(o[ch], variation, medians[ch],
-                                                 config.K) for o in original]
-            for ch in mined for variation in config.variations}
+def _views(symbols: dict[str, Corpus], config: PipelineConfig,
+           medians: dict[str, dict[int, int]]) -> Iterator[tuple[tuple[str, Variation], Corpus]]:
+    """Each (channel, variation) with the corpus of that view, built one at
+    a time so that only one view is held at once."""
+    for ch, corpus in symbols.items():
+        for variation in config.variations:
+            yield (ch, variation), view(corpus, variation, medians[ch], config.K)[0]
 
 
 def _align_channels(dataset: Dataset, channels: tuple[str, ...]) -> Dataset:
@@ -157,22 +145,16 @@ def fit_pipeline(dataset: Dataset, config: PipelineConfig,
         pooled = np.concatenate([s[ch] for s in streams])
         discretizers[ch] = fit_discretizer(pooled, config.K, config.iqr_multiplier)
 
-    original = _discretize(streams, mined, discretizers)
+    symbols = _symbols(streams, mined, discretizers)
+    rcsm_medians = {ch: fit_rcsm_medians(symbols[ch])
+                    if Variation.RCSM in config.variations else {}
+                    for ch in mined}
 
-    rcsm_medians: dict[str, RcsmMedians] = {}
-    for ch in mined:
-        if Variation.RCSM in config.variations:
-            rcsm_medians[ch] = fit_rcsm_medians(o[ch] for o in original)
-        else:
-            rcsm_medians[ch] = RcsmMedians()
-
-    corpora = _view_corpora(original, mined, config, rcsm_medians)
-    vocabularies = {
-        (ch, variation): fit_bpe(corpus, config.base_size(variation),
-                                 n_series=n, P=config.P, U=config.U)
-        for (ch, variation), corpus in corpora.items()}
-    encoded = {key: encode_corpus(corpus, vocabularies[key])
-               for key, corpus in corpora.items()}
+    vocabularies, encoded = {}, {}
+    for key, corpus in _views(symbols, config, rcsm_medians):
+        vocabularies[key] = fit_bpe(corpus, config.base_size(key[1]),
+                                    P=config.P, U=config.U)
+        encoded[key] = encode_corpus(corpus, vocabularies[key])
 
     schema = build_schema(mined, config.variations, vocabularies, n, config.P,
                           config.K)
@@ -212,12 +194,10 @@ def transform_dataset(model: FittedModel, dataset: Dataset) -> FeatureMatrix:
     """
     dataset = _align_channels(dataset, model.channels)
     streams = [_paa_streams(ts, model.config) for ts in dataset.series]
-    corpora = _view_corpora(_discretize(streams, model.mined_channels,
-                                        model.discretizers),
-                            model.mined_channels, model.config,
-                            model.rcsm_medians)
+    symbols = _symbols(streams, model.mined_channels, model.discretizers)
     encoded = {key: encode_corpus(corpus, model.vocabularies[key])
-               for key, corpus in corpora.items()}
+               for key, corpus in _views(symbols, model.config,
+                                         model.rcsm_medians)}
     raw = assemble_matrix(dataset.ids, encoded, model.schema).values
     values, _table = _output_values(model, dataset, raw,
                                     model.centroid_table is not None)
@@ -236,41 +216,23 @@ def _output_values(model: FittedModel, dataset: Dataset, raw: np.ndarray,
     return centroid_augment(values, [ts.group_id for ts in dataset])
 
 
-def _variation_token_spans(original: np.ndarray, variation: Variation,
-                           medians: RcsmMedians, K: int) -> tuple[list[int], list[int], list[int]]:
-    """Variation sequence plus, per token, the half-open PAA index range it
-    covers: (sequence, starts, ends)."""
-    seq = variation_sequence(original, variation, medians, K)
-    if variation in (Variation.ORIGINAL, Variation.AUTOREGRESSIVE):
-        width = 2 if variation is Variation.AUTOREGRESSIVE else 1
-        starts = list(range(len(seq)))
-        return seq, starts, [t + width for t in starts]
-    # Run-collapsed views: each run yields one token, or two under RCSM when
-    # it is longer than the symbol's median (the rule apply_rcsm follows).
-    starts: list[int] = []
-    ends: list[int] = []
-    for sym, start, length in run_lengths(original):
-        copies = 2 if (variation is Variation.RCSM
-                       and length > medians.median_for(sym)) else 1
-        starts += [start] * copies
-        ends += [start + length] * copies
-    return seq, starts, ends
-
-
-def _find_occurrences(seq: list[int], pattern: list[int]) -> list[int]:
-    """Non-overlapping left-to-right matches of pattern inside seq."""
-    hits: list[int] = []
+def _occurrences(tokens: np.ndarray, series: np.ndarray,
+                 pattern: tuple[int, ...]) -> list[int]:
+    """Start positions of the non-overlapping left-to-right matches of
+    pattern inside one series of a flat view, ascending."""
     m = len(pattern)
-    if m == 0:
-        return hits
-    i = 0
-    limit = len(seq) - m
-    while i <= limit:
-        if seq[i:i + m] == pattern:
+    n = tokens.size - m + 1
+    if m == 0 or n <= 0:
+        return []
+    match = series[m - 1:] == series[:n]
+    for k, sym in enumerate(pattern):
+        match &= tokens[k:k + n] == sym
+    hits: list[int] = []
+    for i in np.flatnonzero(match).tolist():
+        # A kept match ends inside its series, so a match in a later series
+        # always starts past it.
+        if not hits or i >= hits[-1] + m:
             hits.append(i)
-            i += m
-        else:
-            i += 1
     return hits
 
 
@@ -281,29 +243,26 @@ def pattern_spans(model: FittedModel, dataset: Dataset,
     For each feature, each series gets the half-open [start, end) index
     ranges where the decoded base-symbol sequence matches the series'
     variation stream (non-overlapping, left to right), mapped back through
-    the run-length bookkeeping and the PAA window.
+    the view's source runs and the PAA window.
     """
     dataset = _align_channels(dataset, model.channels)
-    needed: dict[tuple[str, Variation], list[FeatureDescriptor]] = {}
+    config = model.config
+    symbols = _symbols([_paa_streams(ts, config) for ts in dataset.series],
+                       model.mined_channels, model.discretizers)
+    ids = dataset.ids
+    length = [ts.length for ts in dataset]
+    result: dict[str, dict[str, list[tuple[int, int]]]] = {}
     for desc in descriptors:
-        needed.setdefault((desc.channel, desc.variation), []).append(desc)
-    result: dict[str, dict[str, list[tuple[int, int]]]] = {d.name: {} for d in descriptors}
-    W = model.config.W
-    for ts in dataset:
-        [original] = _discretize([_paa_streams(ts, model.config)],
-                                 model.mined_channels, model.discretizers)
-        for (ch, variation), descs in needed.items():
-            seq, starts, ends = _variation_token_spans(
-                original[ch], variation, model.rcsm_medians[ch], model.config.K)
-            for desc in descs:
-                pattern = list(desc.decoded)
-                hits = _find_occurrences(seq, pattern)
-                if not hits:
-                    continue
-                spans = []
-                for t in hits:
-                    lo = starts[t] * W
-                    hi = min(ends[t + len(pattern) - 1] * W, ts.length)
-                    spans.append((lo, hi))
-                result[desc.name][ts.id] = spans
+        base = symbols[desc.channel]
+        corpus, lo, hi = view(base, desc.variation,
+                              model.rcsm_medians[desc.channel], config.K)
+        # Flat index of each series' first base symbol.
+        offset = np.cumsum(base.lengths()) - base.lengths()
+        m = len(desc.decoded)
+        result[desc.name] = per_series = {}
+        for t in _occurrences(corpus.tokens, corpus.series, desc.decoded):
+            s = int(corpus.series[t])
+            span = (int(lo[t] - offset[s]) * config.W,
+                    min(int(hi[t + m - 1] - offset[s]) * config.W, length[s]))
+            per_series.setdefault(ids[s], []).append(span)
     return result

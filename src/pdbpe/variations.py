@@ -1,107 +1,73 @@
-"""Series variations derived from a discretized sequence.
+"""Series variations derived from a flat corpus of discretized symbols.
 
 Four views of each symbol sequence are mined independently: the sequence
-itself, a run-collapsed form, a run-collapsed form that keeps duration
-information relative to the typical run length, and the sequence of
-step-to-step changes.
+itself (``original``), a run-collapsed form (``rcs``), a run-collapsed form
+that keeps duration information relative to the typical run length
+(``rcsm``), and the sequence of step-to-step changes (``autoregressive``).
+
+Every view is built from the whole ``Corpus`` at once. A run is a maximal
+stretch of one symbol inside one series: a run starts wherever the symbol
+changes or a new series starts, so no run crosses a series boundary. ``rcs``
+keeps one token per run. ``rcsm`` keeps one copy of a run's symbol when the
+run is at most the symbol's fitted median length and exactly two copies
+when it is longer; this copy rule lives only in ``view``. ``autoregressive``
+takes each step x[t+1] - x[t] inside a series, shifted by K-1 into
+[0, 2K-2] for the miner.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
-
 import numpy as np
 
-
-def run_lengths(symbols: Sequence[int]) -> list[tuple[int, int, int]]:
-    """Maximal constant runs as (symbol, start_index, length) triples."""
-    runs: list[tuple[int, int, int]] = []
-    n = len(symbols)
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and symbols[j] == symbols[i]:
-            j += 1
-        runs.append((int(symbols[i]), i, j - i))
-        i = j
-    return runs
+from .bpe import Corpus
+from .core import Variation
 
 
-def apply_rcs(symbols: Sequence[int]) -> list[int]:
-    """Collapse each maximal constant run to a single symbol.
+def runs(symbols: Corpus) -> tuple[np.ndarray, np.ndarray]:
+    """(start, end) flat index of every run, in corpus order."""
+    tok, sid = symbols.tokens, symbols.series
+    first = np.ones(tok.size, dtype=bool)
+    first[1:] = (tok[1:] != tok[:-1]) | (sid[1:] != sid[:-1])
+    starts = np.flatnonzero(first)
+    return starts, np.append(starts, tok.size)[1:]
 
-    [1,1,2,2,2,0,0,0,4] -> [1,2,0,4]. Output has no two equal adjacent
-    symbols; applying it twice is a no-op.
+
+def fit_rcsm_medians(symbols: Corpus) -> dict[int, int]:
+    """Typical run length per symbol: the lower median (element (n-1)//2 of
+    the sorted lengths) of its runs across all training series."""
+    starts, ends = runs(symbols)
+    syms = symbols.tokens[starts]
+    lengths = ends - starts
+    order = np.lexsort((lengths, syms))
+    syms, lengths = syms[order], lengths[order]
+    first = np.flatnonzero(np.diff(syms, prepend=-1))
+    count = np.diff(np.append(first, syms.size))
+    pick = first + (count - 1) // 2
+    return dict(zip(syms[pick].tolist(), lengths[pick].tolist()))
+
+
+def view(symbols: Corpus, variation: Variation, medians: dict[int, int],
+         K: int) -> tuple[Corpus, np.ndarray, np.ndarray]:
+    """One variation of a base-symbol corpus in miner (nonnegative) space,
+    with the half-open flat index range [lo, hi) of the base symbols each
+    view token stands for. A symbol without a median has median 1.
+
+    With REF = [1,1,2,2,2,0,0,0,4] as one series: rcs gives [1,2,0,4];
+    rcsm with every median 2 gives [1,2,2,0,0,4]; autoregressive gives the
+    steps [0,1,0,0,-2,0,0,4] shifted by K-1.
     """
-    out: list[int] = []
-    for sym in symbols:
-        if not out or out[-1] != sym:
-            out.append(int(sym))
-    return out
-
-
-@dataclass(frozen=True)
-class RcsmMedians:
-    """Per-symbol typical run lengths fitted on training sequences.
-
-    Symbols never seen in training default to a median of 1.
-    """
-
-    medians: dict[int, int] = field(default_factory=dict)
-
-    def median_for(self, symbol: int) -> int:
-        return self.medians.get(int(symbol), 1)
-
-
-def fit_rcsm_medians(corpus: Iterable[Sequence[int]]) -> RcsmMedians:
-    """Collect run lengths per symbol across all training sequences and take
-    the lower median (element at index (n-1)//2 of the sorted lengths)."""
-    lengths: dict[int, list[int]] = {}
-    for seq in corpus:
-        for sym, _start, length in run_lengths(seq):
-            lengths.setdefault(sym, []).append(length)
-    medians = {}
-    for sym, vals in lengths.items():
-        vals.sort()
-        medians[sym] = vals[(len(vals) - 1) // 2]
-    return RcsmMedians(medians=medians)
-
-
-def apply_rcsm(symbols: Sequence[int], medians: RcsmMedians) -> list[int]:
-    """Run collapse that keeps a coarse duration signal.
-
-    A run of symbol s emits one copy when its length is at most the fitted
-    median for s, and exactly two copies otherwise (never more).
-    [1,1,2,2,2,0,0,0,4] with all medians 2 -> [1,2,2,0,0,4].
-    """
-    out: list[int] = []
-    for sym, _start, length in run_lengths(symbols):
-        out.append(sym)
-        if length > medians.median_for(sym):
-            out.append(sym)
-    return out
-
-
-def apply_autoregressive(symbols: Sequence[int]) -> list[int]:
-    """First differences of the symbol sequence: y[t] = x[t+1] - x[t].
-
-    [1,1,2,2,2,0,0,0,4] -> [0,1,0,0,-2,0,0,4]. A length-1 input yields an
-    empty output (the series then contributes no features for this view).
-    """
-    arr = np.asarray(symbols, dtype=np.int64)
-    if arr.size <= 1:
-        return []
-    return np.diff(arr).tolist()
-
-
-def offset_encode(diffs: Sequence[int], K: int) -> list[int]:
-    """Shift signed step symbols into [0, 2K-2] for the miner."""
-    off = K - 1
-    return [int(d) + off for d in diffs]
-
-
-def offset_decode(symbols: Sequence[int], K: int) -> list[int]:
-    """Undo offset_encode, restoring signed step symbols for display."""
-    off = K - 1
-    return [int(s) - off for s in symbols]
+    tok, sid = symbols.tokens, symbols.series
+    if variation is Variation.ORIGINAL:
+        lo = np.arange(tok.size)
+        return symbols, lo, lo + 1
+    if variation is Variation.AUTOREGRESSIVE:
+        lo = np.flatnonzero(sid[1:] == sid[:-1])
+        return (Corpus(tok[lo + 1] - tok[lo] + (K - 1), sid[lo],
+                       symbols.n_series), lo, lo + 2)
+    starts, ends = runs(symbols)
+    copies = 1
+    if variation is Variation.RCSM:
+        median = np.array([medians.get(s, 1) for s in range(K)])
+        copies = 1 + (ends - starts > median[tok[starts]])
+    lo, hi = np.repeat(starts, copies), np.repeat(ends, copies)
+    return Corpus(tok[lo], sid[lo], symbols.n_series), lo, hi

@@ -17,10 +17,11 @@ import time
 import numpy as np
 
 from naive_bpe import naive_fit
-from pdbpe import (Dataset, PipelineConfig, RcsmMedians, TimeSeries,
-                   apply_autoregressive, apply_rcs, apply_rcsm, encode,
-                   encode_corpus, fit_bpe, fit_pipeline, fit_whitening,
-                   whiten_multivariate)
+from pdbpe import Dataset, PipelineConfig, TimeSeries, fit_pipeline
+from pdbpe.bpe import Corpus, encode, encode_corpus, fit_bpe
+from pdbpe.core import Variation
+from pdbpe.preprocess import fit_whitening, whiten_multivariate
+from pdbpe.variations import view
 from synth import dataset_to_csv, motif_dataset, random_symbol_corpus
 
 REF = [1, 1, 2, 2, 2, 0, 0, 0, 4]
@@ -34,10 +35,17 @@ def _cli(*args, env=None):
 def test_criterion_01_reference_variation_outputs():
     # The three derived views of the reference sequence, matched exactly.
     t0 = time.perf_counter()
-    assert apply_rcs(REF) == [1, 2, 0, 4]
-    medians = RcsmMedians({0: 2, 1: 2, 2: 2, 4: 2})
-    assert apply_rcsm(REF, medians) == [1, 2, 2, 0, 0, 4]
-    assert apply_autoregressive(REF) == [0, 1, 0, 0, -2, 0, 0, 4]
+    symbols = Corpus.from_sequences([REF])
+    medians = {0: 2, 1: 2, 2: 2, 4: 2}
+
+    def tokens(variation):
+        return view(symbols, variation, medians, K=5)[0].tokens.tolist()
+
+    assert tokens(Variation.RCS) == [1, 2, 0, 4]
+    assert tokens(Variation.RCSM) == [1, 2, 2, 0, 0, 4]
+    # The step view is shifted by K-1 = 4 into nonnegative symbols.
+    assert [t - 4 for t in tokens(Variation.AUTOREGRESSIVE)] == [
+        0, 1, 0, 0, -2, 0, 0, 4]
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -46,7 +54,7 @@ def test_criterion_02_stop_threshold_arithmetic(tmp_path):
     # stopping threshold max(N*P, T*U) = max(20, 49.9) reports as 49.9.
     rng = random.Random(41)
     corpus = [[rng.randrange(5) for _ in range(500)] for _ in range(100)]
-    vocab = fit_bpe(corpus, 5)
+    vocab = fit_bpe(Corpus.from_sequences(corpus), 5)
     assert vocab.n_series == 100
     assert vocab.initial_pair_slots == 49900
     assert f"{vocab.stop_threshold:.12g}" == "49.9"
@@ -79,8 +87,9 @@ def test_criterion_03_miner_matches_naive_reference():
                                       alphabet=6)
         P = rng.choice([0.1, 0.2, 0.3, 0.5])
         U = rng.choice([0.0005, 0.001, 0.05, 0.2])
-        vocab = fit_bpe(corpus, 6, P=P, U=U)
-        encoded = encode_corpus(corpus, vocab)
+        vocab = fit_bpe(Corpus.from_sequences(corpus), 6, P=P, U=U)
+        encoded = encode_corpus(Corpus.from_sequences(corpus),
+                                vocab).sequences()
         ref_rules, ref_corpus = naive_fit(corpus, 6, P=P, U=U)
         got = [(r.new_symbol, r.left, r.right, r.train_frequency,
                 r.train_series_support) for r in vocab.rules]
@@ -97,7 +106,7 @@ def test_criterion_04_encode_decode_round_trip():
     for _ in range(25):
         corpus = random_symbol_corpus(rng, max_series=8, max_len=40,
                                       alphabet=5)
-        vocab = fit_bpe(corpus, 5)
+        vocab = fit_bpe(Corpus.from_sequences(corpus), 5)
         for _ in range(40):
             x = [rng.randrange(5) for _ in range(rng.randint(0, 60))]
             tokens = encode(x, vocab)

@@ -381,6 +381,48 @@ def test_transform_rejects_missing_channel_tables(tmp_path, capsys, table,
     assert f"no {what} for mined channels ['hr']" in r.stderr
 
 
+@pytest.mark.parametrize("mask", ["variance_kept", "final_kept"])
+def test_transform_rejects_pruning_mask_of_wrong_length(tmp_path, capsys,
+                                                        mask):
+    r = _transform_corrupted_model(
+        tmp_path, lambda doc: doc["schema"][mask].__delitem__(slice(-3, None)))
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert f"schema {mask} has" in r.stderr
+    assert not (tmp_path / "g.csv").exists()
+
+
+def _edges(change):
+    def corrupt(doc):
+        disc = doc["discretizers"]["hr"]
+        disc["edges"] = change(disc["edges"])
+    return corrupt
+
+
+_BAD_EDGES = "discretizer hr: bin edges must be 5 finite, non-decreasing"
+
+
+def _other_k(doc):
+    # K 3 with 4 edges is a valid discretizer, but not for a K=4 model.
+    disc = doc["discretizers"]["hr"]
+    disc["K"], disc["edges"] = 3, disc["edges"][:4]
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (_edges(lambda e: e[:1]), _BAD_EDGES),
+    (_edges(lambda e: e[:-1]), _BAD_EDGES),
+    (_edges(lambda e: e[::-1]), _BAD_EDGES),
+    (_other_k, "discretizer hr: K 3, expected 4")],
+    ids=["one-edge", "k-edges", "descending", "other-k"])
+def test_transform_rejects_degenerate_bin_edges(tmp_path, capsys, corrupt,
+                                                message):
+    r = _transform_corrupted_model(tmp_path, corrupt)
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert message in r.stderr
+    assert not (tmp_path / "g.csv").exists()
+
+
 def test_centroid_flow_through_cli(tmp_path, capsys):
     data, labels = _write_motif_corpus(tmp_path)
     model_path = str(tmp_path / "m.json")

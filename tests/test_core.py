@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from pdbpe import (ALL_VARIATIONS, DataError, Dataset, MultivariateMode,
-                   PipelineConfig, TimeSeries, Variation, ingest_filter,
-                   parse_multivariate_mode, parse_variation)
+from pdbpe import DataError, Dataset, PipelineConfig, TimeSeries
+from pdbpe.core import (ALL_VARIATIONS, MultivariateMode, Variation,
+                        ingest_filter, parse_multivariate_mode,
+                        parse_variation)
 
 
 def test_univariate_reshapes_to_column():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from pdbpe import NumericError, apply_discretizer, fit_discretizer
+from pdbpe import DataError, NumericError
+from pdbpe.discretize import Discretizer, apply_discretizer, fit_discretizer
 
 
 def test_fences_from_linear_interpolation_quartiles():
@@ -102,3 +103,23 @@ def test_randomized_bins_agree_with_searchsorted():
         for idx in diff:
             assert np.any(np.isclose(probes[idx], disc.edges))
         assert np.all(got >= 0) and np.all(got <= K - 1)
+
+
+@pytest.mark.parametrize("edges", [
+    [0.0], [0.0, 1.0, 2.0], [3.0, 2.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+    [0.0, 1.0, np.nan, 3.0], [0.0, 1.0, 2.0, np.inf]],
+    ids=["one", "K", "descending", "flat", "nan", "inf"])
+def test_discretizer_rejects_degenerate_edges(edges):
+    with pytest.raises(DataError,
+                       match="bin edges must be 4 finite, non-decreasing"):
+        Discretizer(K=3, lower_fence=0.0, upper_fence=3.0, edges=edges)
+
+
+def test_discretizer_accepts_repeated_edges_from_a_tiny_range():
+    # np.linspace over a range of one ulp repeats edges; the fitted model
+    # must still load.
+    disc = fit_discretizer(np.array([1.0, np.nextafter(1.0, 2.0)]), K=4)
+    assert np.any(disc.edges[1:] == disc.edges[:-1])
+    again = Discretizer(K=4, lower_fence=disc.lower_fence,
+                        upper_fence=disc.upper_fence, edges=list(disc.edges))
+    assert apply_discretizer(np.nextafter(1.0, 2.0), again) == 3

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from pdbpe import (DataError, Dataset, NumericError, PipelineConfig,
-                   TimeSeries, accuracy, auc_roc, cross_validate, grid_search,
-                   kfold_split, knn_predict, ridge_fit, ridge_predict, rmse,
-                   score_split)
+                   TimeSeries, cross_validate)
+from pdbpe.evaluate import (accuracy, auc_roc, grid_search, kfold_split,
+                            knn_predict, ridge_fit, ridge_predict, rmse,
+                            score_split)
 from synth import motif_dataset, random_dataset
 
 

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from pdbpe import (DataError, Variation, anova_f_rank, centroid_augment,
-                   drop_zero_variance, fit_bpe, prune_correlated)
-from pdbpe.features import (assemble_matrix, build_schema, count_features,
-                            feature_name)
+from pdbpe import DataError
+from pdbpe.bpe import Corpus, fit_bpe
+from pdbpe.core import Variation
+from pdbpe.features import (FeatureDescriptor, FeatureSchema, anova_f_rank,
+                            assemble_matrix, build_schema, centroid_augment,
+                            drop_zero_variance, feature_name,
+                            prune_correlated)
 
 
 def test_feature_names():
@@ -24,7 +27,8 @@ def test_feature_names():
 
 
 def _tiny_vocab():
-    return fit_bpe([[0, 1, 0, 1, 0, 1]], base_size=2, P=0.2, U=0.4)
+    return fit_bpe(Corpus.from_sequences([[0, 1, 0, 1, 0, 1]]), base_size=2,
+                   P=0.2, U=0.4)
 
 
 def test_build_schema_base_then_supported_patterns():
@@ -42,7 +46,8 @@ def test_build_schema_base_then_supported_patterns():
 def test_build_schema_support_filter_is_inclusive():
     corpus = [[0, 1, 0, 1], [0, 1, 0, 1], [2, 2, 2, 2], [2, 2, 2, 2],
               [2, 2, 2, 2]]
-    vocab = fit_bpe(corpus, base_size=3, P=0.2, U=0.001)
+    vocab = fit_bpe(Corpus.from_sequences(corpus), base_size=3, P=0.2,
+                    U=0.001)
     by_pair = {(r.left, r.right): r for r in vocab.rules}
     assert by_pair[(0, 1)].train_series_support == 2
     # min support = 5 * 0.4 = 2.0; support of exactly 2 must be emitted.
@@ -59,10 +64,21 @@ def test_build_schema_support_filter_is_inclusive():
     assert by_pair[(0, 1)].new_symbol not in emitted2
 
 
+def _count_rows(sequences, symbols):
+    """assemble_matrix rows of one block whose columns are the given
+    symbols of the given encoded sequences."""
+    columns = tuple(FeatureDescriptor("v", Variation.ORIGINAL, s, (s,),
+                                      f"v.original.S{s}", False)
+                    for s in symbols)
+    ids = [f"s{i}" for i in range(len(sequences))]
+    encoded = {("v", Variation.ORIGINAL): Corpus.from_sequences(sequences)}
+    return assemble_matrix(ids, encoded, FeatureSchema(columns)).values
+
+
 def test_count_features_normalizes_by_encoded_length():
-    out = count_features([2, 2, 5, 2], [2, 5, 7])
+    out = _count_rows([[2, 2, 5, 2]], [2, 5, 7])[0]
     assert np.allclose(out, [0.75, 0.25, 0.0])
-    assert np.array_equal(count_features([], [2, 5]), [0.0, 0.0])
+    assert np.array_equal(_count_rows([[]], [2, 5])[0], [0.0, 0.0])
 
 
 def test_assemble_matrix_row_and_column_order():
@@ -70,7 +86,8 @@ def test_assemble_matrix_row_and_column_order():
     schema = build_schema(["v"], [Variation.ORIGINAL],
                           {("v", Variation.ORIGINAL): vocab},
                           n_series=1, P=0.2, K=2)
-    encoded = {("v", Variation.ORIGINAL): [[2, 2, 2], [0, 0, 1]]}
+    encoded = {("v", Variation.ORIGINAL):
+               Corpus.from_sequences([[2, 2, 2], [0, 0, 1]])}
     mat = assemble_matrix(["a", "b"], encoded, schema)
     assert mat.ids == ("a", "b")
     assert np.allclose(mat.values[0], [0.0, 0.0, 1.0])

@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from pdbpe import (DataError, PipelineConfig, fingerprint_model, fit_pipeline,
-                   load_model, save_model, transform_dataset)
-from pdbpe.model_io import FORMAT_NAME, FORMAT_VERSION, model_to_dict
+from pdbpe import (DataError, PipelineConfig, fit_pipeline, load_model,
+                   save_model, transform_dataset)
+from pdbpe.model_io import (FORMAT_NAME, FORMAT_VERSION, fingerprint_model,
+                            model_to_dict)
 from synth import random_dataset
 
 

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
-from pdbpe import (DataError, Dataset, MultivariateMode, PipelineConfig,
-                   TimeSeries, Variation, fingerprint_model, fit_pipeline,
-                   pattern_spans, transform_dataset, variation_sequence)
-from pdbpe.pipeline import COLLAPSED_CHANNEL
-from pdbpe.variations import RcsmMedians
+from pdbpe import (DataError, Dataset, PipelineConfig, TimeSeries,
+                   fit_pipeline, transform_dataset)
+from pdbpe.bpe import Corpus
+from pdbpe.core import MultivariateMode, Variation
+from pdbpe.features import FeatureDescriptor
+from pdbpe.model_io import fingerprint_model
+from pdbpe.pipeline import COLLAPSED_CHANNEL, pattern_spans
+from pdbpe.variations import view
 from synth import motif_dataset, random_dataset
 
 CFG = PipelineConfig(K=4, W=2)
@@ -111,23 +114,24 @@ def test_rcsm_medians_only_fitted_when_selected():
     cfg = PipelineConfig(K=4, W=2,
                          variations=(Variation.ORIGINAL, Variation.RCS))
     model, _ = fit_pipeline(ds, cfg)
-    assert model.rcsm_medians["ch0"].medians == {}
+    assert model.rcsm_medians["ch0"] == {}
     full_model, _ = fit_pipeline(ds, CFG)
-    assert full_model.rcsm_medians["ch0"].medians
+    assert full_model.rcsm_medians["ch0"]
 
 
 def test_autoregressive_base_size_is_step_alphabet():
     ds = _small_dataset(seed=9)
     model, _ = fit_pipeline(ds, CFG)
-    assert model.base_size(Variation.AUTOREGRESSIVE) == 2 * CFG.K - 1
-    assert model.base_size(Variation.ORIGINAL) == CFG.K
+    assert model.config.base_size(Variation.AUTOREGRESSIVE) == 2 * CFG.K - 1
+    assert model.config.base_size(Variation.ORIGINAL) == CFG.K
     ar_vocab = model.vocabularies[("ch0", Variation.AUTOREGRESSIVE)]
     assert ar_vocab.base_size == 2 * CFG.K - 1
 
 
 def test_variation_sequence_autoregressive_is_offset_encoded():
-    seq = variation_sequence(np.array([0, 3, 1]), Variation.AUTOREGRESSIVE,
-                             RcsmMedians(), K=4)
+    corpus, _lo, _hi = view(Corpus.from_sequences([[0, 3, 1]]),
+                            Variation.AUTOREGRESSIVE, {}, K=4)
+    seq = corpus.tokens.tolist()
     # Raw steps +3, -2 shift by K-1=3 into nonnegative space.
     assert seq == [6, 1]
     assert min(seq) >= 0
@@ -191,6 +195,17 @@ def test_pattern_spans_locate_planted_motif():
                     break
         best_hits = max(best_hits, hits)
     assert best_hits >= 0.8 * len(planted)
+
+
+def test_pattern_spans_do_not_overlap_within_a_series():
+    # Runs of five and four 0s hold (0, 0) at their even offsets only.
+    ds = Dataset((TimeSeries.univariate("a", [0, 0, 0, 0, 0, 1, 1, 1]),
+                  TimeSeries.univariate("b", [1, 1, 0, 0, 0, 0, 1, 0])))
+    model, _ = fit_pipeline(ds, PipelineConfig(K=2, W=1))
+    desc = FeatureDescriptor("value", Variation.ORIGINAL, 99, (0, 0), "x",
+                             True)
+    spans = pattern_spans(model, ds, [desc])
+    assert spans == {"x": {"a": [(0, 2), (2, 4)], "b": [(2, 4), (4, 6)]}}
 
 
 def test_thread_count_does_not_change_output(monkeypatch):

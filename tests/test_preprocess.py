@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from pdbpe import NumericError, collapse_series, paa, zscore_normalize
-from pdbpe.preprocess import (WhiteningStats, fit_whitening, l2_collapse,
-                              whiten_multivariate)
+from pdbpe import NumericError
+from pdbpe.preprocess import (WhiteningStats, collapse_series, fit_whitening,
+                              l2_collapse, paa, whiten_multivariate,
+                              zscore_normalize)
 
 
 def test_zscore_population_convention():
