@@ -18,7 +18,7 @@ the whole corpus in one pass and returns a new ``Corpus``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -56,7 +56,6 @@ class Vocabulary:
     n_series: int = 0
     initial_pair_slots: int = 0
     stop_threshold: float = 0.0
-    _decoded: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         # Rule i defines base_size + i from symbols defined before it; then
@@ -75,18 +74,20 @@ class Vocabulary:
         return self.base_size + len(self.rules)
 
     def decode(self, symbol: int) -> tuple[int, ...]:
-        """Expand a symbol to its base-alphabet sequence."""
+        """Expand a symbol to its base-alphabet sequence, in time linear in
+        its length."""
         symbol = int(symbol)
-        if 0 <= symbol < self.base_size:
-            return (symbol,)
-        if not self.base_size <= symbol < self.size:
+        if not 0 <= symbol < self.size:
             raise DataError(f"unknown symbol {symbol} for vocabulary of size {self.size}")
-        cached = self._decoded.get(symbol)
-        if cached is None:
-            rule = self.rules[symbol - self.base_size]
-            cached = self.decode(rule.left) + self.decode(rule.right)
-            self._decoded[symbol] = cached
-        return cached
+        out, stack = [], [symbol]
+        while stack:
+            sym = stack.pop()
+            if sym < self.base_size:
+                out.append(sym)
+            else:
+                rule = self.rules[sym - self.base_size]
+                stack += (rule.right, rule.left)
+        return tuple(out)
 
 
 @dataclass(eq=False)

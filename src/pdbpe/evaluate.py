@@ -192,16 +192,13 @@ def auc_roc(y_true, scores) -> float:
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError("auc_roc: needs both classes present")
+    # NaN equals nothing, so each NaN score is a tie group of its own.
     order = np.argsort(s, kind="stable")
+    ordered = s[order]
+    group = np.cumsum(np.r_[True, ordered[1:] != ordered[:-1]]) - 1
+    counts = np.bincount(group)
     ranks = np.empty(y.size, dtype=np.float64)
-    sorted_scores = s[order]
-    i = 0
-    while i < y.size:
-        j = i
-        while j + 1 < y.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     rank_sum = float(ranks[pos].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

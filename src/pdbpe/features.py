@@ -52,7 +52,8 @@ class FeatureSchema:
     columns holds every emitted column (all base symbols, then patterns whose
     training series support reached N*P, per channel/variation in canonical
     order). variance_kept and final_kept are parallel masks over columns;
-    final_kept is the subset that survives both pruning stages.
+    final_kept is the subset that survives both pruning stages. build_schema
+    leaves them None; fitting and loading always set both.
     """
 
     columns: tuple[FeatureDescriptor, ...]
@@ -60,8 +61,6 @@ class FeatureSchema:
     final_kept: tuple[bool, ...] | None = None
 
     def final_columns(self) -> tuple[FeatureDescriptor, ...]:
-        if self.final_kept is None:
-            return self.columns
         return tuple(c for c, keep in zip(self.columns, self.final_kept) if keep)
 
     def final_names(self) -> tuple[str, ...]:
@@ -95,21 +94,15 @@ def build_schema(channels: Sequence[str], variations: Sequence[Variation],
     for channel in channels:
         for variation in variations:
             vocab = vocabs[(channel, variation)]
-            for sym in range(vocab.base_size):
+            for sym in [*range(vocab.base_size),
+                        *(rule.new_symbol for rule in vocab.rules
+                          if rule.train_series_support >= min_support)]:
+                pattern = sym >= vocab.base_size
                 cols.append(FeatureDescriptor(
                     channel=channel, variation=variation, symbol=sym,
-                    decoded=(sym,),
-                    name=feature_name(channel, variation, sym, False, K),
-                    is_pattern=False))
-            for rule in vocab.rules:
-                if rule.train_series_support >= min_support:
-                    cols.append(FeatureDescriptor(
-                        channel=channel, variation=variation,
-                        symbol=rule.new_symbol,
-                        decoded=vocab.decode(rule.new_symbol),
-                        name=feature_name(channel, variation, rule.new_symbol,
-                                          True, K),
-                        is_pattern=True))
+                    decoded=vocab.decode(sym),
+                    name=feature_name(channel, variation, sym, pattern, K),
+                    is_pattern=pattern))
     return FeatureSchema(columns=tuple(cols))
 
 

@@ -4,6 +4,12 @@ The artifact is a versioned JSON document (key-value with nested lists).
 Floats are written with Python's shortest round-trip repr, so loading a
 saved model reproduces transforms bit-exactly. The field layout is described
 in the README.
+
+Loading derives what fitting derives and rejects an artifact whose stored
+copy differs: the mined channels, each vocabulary's base size and each
+discretizer's bin count ``K``, and the schema columns with their names and
+decoded patterns. Run-length medians must map symbols in ``[0, K)`` to
+lengths of at least 1. Every failure is a ``DataError``.
 """
 
 from __future__ import annotations
@@ -18,9 +24,9 @@ from .core import (PipelineConfig, Variation, parse_multivariate_mode,
                    parse_variation)
 from .discretize import Discretizer
 from .errors import DataError
-from .features import FeatureDescriptor, FeatureSchema
+from .features import FeatureDescriptor, build_schema
 from .bpe import MergeRule, Vocabulary
-from .pipeline import FittedModel
+from .pipeline import FittedModel, mined_channels_of
 
 FORMAT_NAME = "pdbpe-model"
 FORMAT_VERSION = 1
@@ -31,27 +37,16 @@ def model_to_dict(model: FittedModel) -> dict[str, Any]:
     doc: dict[str, Any] = {
         "format": FORMAT_NAME,
         "format_version": FORMAT_VERSION,
-        "config": {
-            "K": config.K,
-            "W": config.W,
-            "P": config.P,
-            "U": config.U,
-            "correlation_threshold": config.correlation_threshold,
-            "iqr_multiplier": config.iqr_multiplier,
-            "variations": [v.value for v in config.variations],
-            "multivariate_mode": config.multivariate_mode.value,
-        },
+        # vars() keeps a dataclass's field order, which is the key order.
+        "config": {**vars(config),
+                   "variations": [v.value for v in config.variations],
+                   "multivariate_mode": config.multivariate_mode.value},
         "channels": list(model.channels),
         "mined_channels": list(model.mined_channels),
         "n_training_series": model.n_training_series,
         "discretizers": {
-            ch: {
-                "K": disc.K,
-                "lower_fence": disc.lower_fence,
-                "upper_fence": disc.upper_fence,
-                "edges": [float(e) for e in disc.edges],
-            } for ch, disc in model.discretizers.items()
-        },
+            ch: {**vars(disc), "edges": [float(e) for e in disc.edges]}
+            for ch, disc in model.discretizers.items()},
         "rcsm_medians": {
             ch: {str(sym): med for sym, med in sorted(m.items())}
             for ch, m in model.rcsm_medians.items()
@@ -64,10 +59,8 @@ def model_to_dict(model: FittedModel) -> dict[str, Any]:
         },
         "schema": {
             "columns": [_descriptor_to_dict(c) for c in model.schema.columns],
-            "variance_kept": [int(b) for b in model.schema.variance_kept]
-            if model.schema.variance_kept is not None else None,
-            "final_kept": [int(b) for b in model.schema.final_kept]
-            if model.schema.final_kept is not None else None,
+            "variance_kept": [int(b) for b in model.schema.variance_kept],
+            "final_kept": [int(b) for b in model.schema.final_kept],
         },
     }
     if model.centroid_table is not None:
@@ -88,14 +81,8 @@ def _vocab_to_dict(vocab: Vocabulary) -> dict[str, Any]:
 
 
 def _descriptor_to_dict(col: FeatureDescriptor) -> dict[str, Any]:
-    return {
-        "channel": col.channel,
-        "variation": col.variation.value,
-        "symbol": col.symbol,
-        "decoded": list(col.decoded),
-        "name": col.name,
-        "is_pattern": col.is_pattern,
-    }
+    return {**vars(col), "variation": col.variation.value,
+            "decoded": list(col.decoded)}
 
 
 def model_from_dict(doc: dict[str, Any]) -> FittedModel:
@@ -108,15 +95,21 @@ def model_from_dict(doc: dict[str, Any]) -> FittedModel:
     try:
         cfg = doc["config"]
         config = PipelineConfig(
-            K=int(cfg["K"]), W=int(cfg["W"]), P=float(cfg["P"]),
+            K=cfg["K"], W=cfg["W"], P=float(cfg["P"]),
             U=float(cfg["U"]),
             correlation_threshold=float(cfg["correlation_threshold"]),
             iqr_multiplier=float(cfg["iqr_multiplier"]),
             variations=tuple(parse_variation(v) for v in cfg["variations"]),
             multivariate_mode=parse_multivariate_mode(cfg["multivariate_mode"]))
         channels = tuple(doc["channels"])
+        if (not all(isinstance(ch, str) for ch in channels)
+                or len(set(channels)) != len(channels)):
+            raise DataError("channels must be distinct names")
+        mined = mined_channels_of(channels, config.multivariate_mode)
+        if tuple(doc["mined_channels"]) != mined:
+            raise DataError(f"mined_channels differ from {list(mined)}, which "
+                            f"the channels and multivariate_mode define")
         n_training_series = int(doc["n_training_series"])
-        mined_channels = tuple(doc["mined_channels"])
         discretizers = {}
         for ch, d in doc["discretizers"].items():
             try:
@@ -131,58 +124,69 @@ def model_from_dict(doc: dict[str, Any]) -> FittedModel:
         rcsm_medians = {
             ch: {int(sym): int(med) for sym, med in m.items()}
             for ch, m in doc["rcsm_medians"].items()}
+        if any(not 0 <= sym < config.K or med < 1
+               for m in rcsm_medians.values() for sym, med in m.items()):
+            raise DataError(f"run-length medians must map symbols in "
+                            f"[0, {config.K}) to lengths of at least 1")
         vocabularies: dict[tuple[str, Variation], Vocabulary] = {}
+        # Rules that each double the one before define patterns far longer
+        # than the artifact: count their base symbols before expanding them.
+        expanded, min_support = 0, n_training_series * config.P
         for ch, per_var in doc["vocabularies"].items():
             for var_name, v in per_var.items():
                 variation = parse_variation(var_name)
-                rules = tuple(MergeRule(new_symbol=int(r[0]), left=int(r[1]),
-                                        right=int(r[2]), train_frequency=int(r[3]),
-                                        train_series_support=int(r[4]))
-                              for r in v["rules"])
-                where = f"vocabulary {ch}/{variation.value}"
+                rules = tuple(MergeRule(*map(int, r)) for r in v["rules"])
                 base_size = int(v["base_size"])
-                if base_size != config.base_size(variation):
-                    raise DataError(f"{where}: base_size {base_size}, "
-                                    f"expected {config.base_size(variation)}")
                 try:
+                    if base_size != config.base_size(variation):
+                        raise DataError(f"base_size {base_size}, expected "
+                                        f"{config.base_size(variation)}")
                     vocabularies[(ch, variation)] = Vocabulary(
                         base_size=base_size, rules=rules,
                         n_series=int(v["n_series"]),
                         initial_pair_slots=int(v["initial_pair_slots"]),
                         stop_threshold=float(v["stop_threshold"]))
                 except DataError as exc:
-                    raise DataError(f"{where}: {exc}") from None
-        views = {(ch, v) for ch in mined_channels for v in config.variations}
+                    raise DataError(f"vocabulary {ch}/{variation.value}: "
+                                    f"{exc}") from None
+                length = [1] * base_size
+                for r in rules:
+                    length.append(length[r.left] + length[r.right])
+                    if r.train_series_support >= min_support:
+                        expanded += length[-1]
+        views = {(ch, v) for ch in mined for v in config.variations}
         if set(vocabularies) != views:
             raise DataError("vocabularies do not cover exactly the mined "
                             "channels and configured variations")
         for what, table in (("discretizer", discretizers),
                             ("run-length medians", rcsm_medians)):
-            missing = [ch for ch in mined_channels if ch not in table]
+            missing = [ch for ch in mined if ch not in table]
             if missing:
                 raise DataError(f"no {what} for mined channels {missing}")
         sch = doc["schema"]
-        columns = tuple(FeatureDescriptor(
-            channel=c["channel"], variation=parse_variation(c["variation"]),
-            symbol=int(c["symbol"]), decoded=tuple(int(s) for s in c["decoded"]),
-            name=c["name"], is_pattern=bool(c["is_pattern"]))
-            for c in sch["columns"])
-        masks = {}
+        if expanded > sum(len(c["decoded"]) for c in sch["columns"]):
+            raise DataError("schema columns are shorter than the supported "
+                            "patterns they decode")
+        schema = build_schema(mined, config.variations, vocabularies,
+                              n_training_series, config.P, config.K)
+        expected = [_descriptor_to_dict(c) for c in schema.columns]
+        if sch["columns"] != expected:
+            raise DataError("schema columns differ from the columns that the "
+                            "config and vocabularies define")
         for mask in ("variance_kept", "final_kept"):
-            kept = sch.get(mask)
-            if kept is not None and len(kept) != len(columns):
+            kept = sch[mask]
+            if len(kept) != len(expected):
                 raise DataError(f"schema {mask} has {len(kept)} entries for "
-                                f"{len(columns)} columns")
-            masks[mask] = None if kept is None else tuple(bool(b) for b in kept)
-        schema = FeatureSchema(columns=columns, **masks)
+                                f"{len(expected)} columns")
+            setattr(schema, mask, tuple(bool(b) for b in kept))
         centroid_table = None
         if "centroids" in doc:
             centroid_table = {gid: np.array(vec, dtype=np.float64)
                               for gid, vec in doc["centroids"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError,
+            OverflowError) as exc:
         raise DataError(f"malformed model artifact: {exc}") from exc
     return FittedModel(config=config, channels=channels,
-                       mined_channels=mined_channels,
                        n_training_series=n_training_series,
                        discretizers=discretizers, rcsm_medians=rcsm_medians,
                        vocabularies=vocabularies, schema=schema,

@@ -38,13 +38,16 @@ class FittedModel:
 
     config: PipelineConfig
     channels: tuple[str, ...]
-    mined_channels: tuple[str, ...]
     n_training_series: int
     discretizers: dict[str, Discretizer]
     rcsm_medians: dict[str, dict[int, int]]
     vocabularies: dict[tuple[str, Variation], Vocabulary]
     schema: FeatureSchema
     centroid_table: dict[str, np.ndarray] | None = None
+
+    @property
+    def mined_channels(self) -> tuple[str, ...]:
+        return mined_channels_of(self.channels, self.config.multivariate_mode)
 
     def pattern_counts(self) -> tuple[int, int]:
         """(patterns mined, patterns emitted as columns after the support
@@ -60,7 +63,9 @@ class FittedModel:
         return names
 
 
-def _mined_channels(channels: tuple[str, ...], mode: MultivariateMode) -> tuple[str, ...]:
+def mined_channels_of(channels: tuple[str, ...],
+                      mode: MultivariateMode) -> tuple[str, ...]:
+    """The channels mined: the series' own, or the one collapsed channel."""
     if mode is MultivariateMode.WHITEN_COLLAPSE:
         return (COLLAPSED_CHANNEL,)
     return channels
@@ -136,7 +141,7 @@ def fit_pipeline(dataset: Dataset, config: PipelineConfig,
     if len(dataset) == 0:
         raise DataError("cannot fit on an empty dataset")
     n = len(dataset)
-    mined = _mined_channels(dataset.channels, config.multivariate_mode)
+    mined = mined_channels_of(dataset.channels, config.multivariate_mode)
 
     streams = [_paa_streams(ts, config) for ts in dataset.series]
 
@@ -161,21 +166,18 @@ def fit_pipeline(dataset: Dataset, config: PipelineConfig,
     raw = assemble_matrix(dataset.ids, encoded, schema)
 
     n_cols = len(schema.columns)
+    # Pruning statistics are undefined for a single row; it keeps everything.
+    variance_kept = final_kept = np.ones(n_cols, dtype=bool)
     if n >= 2:
-        _, variance_kept = drop_zero_variance(raw.values)
-        surviving = raw.values[:, variance_kept]
+        surviving, variance_kept = drop_zero_variance(raw.values)
         _, corr_kept_rel = prune_correlated(surviving, config.correlation_threshold)
         final_kept = np.zeros(n_cols, dtype=bool)
         final_kept[np.flatnonzero(variance_kept)[corr_kept_rel]] = True
-    else:
-        # Pruning statistics are undefined for a single row; keep everything.
-        variance_kept = np.ones(n_cols, dtype=bool)
-        final_kept = np.ones(n_cols, dtype=bool)
     schema.variance_kept = tuple(bool(b) for b in variance_kept)
     schema.final_kept = tuple(bool(b) for b in final_kept)
 
     model = FittedModel(config=config, channels=dataset.channels,
-                        mined_channels=mined, n_training_series=n,
+                        n_training_series=n,
                         discretizers=discretizers, rcsm_medians=rcsm_medians,
                         vocabularies=vocabularies, schema=schema)
     values, model.centroid_table = _output_values(model, dataset, raw.values,
@@ -209,8 +211,7 @@ def _output_values(model: FittedModel, dataset: Dataset, raw: np.ndarray,
                    centroids: bool) -> tuple[np.ndarray, dict[str, np.ndarray] | None]:
     """The columns kept by pruning and, with centroids, each row's group
     mean appended; also the group-centroid table (None without centroids)."""
-    kept = model.schema.final_kept
-    values = raw if kept is None else raw[:, np.asarray(kept, dtype=bool)]
+    values = raw[:, np.asarray(model.schema.final_kept, dtype=bool)]
     if not centroids:
         return values, None
     return centroid_augment(values, [ts.group_id for ts in dataset])

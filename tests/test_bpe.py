@@ -158,6 +158,15 @@ def test_decode_expands_nested_rules():
         vocab.decode(99)
 
 
+def test_decode_handles_deep_rule_chains():
+    # Rule i merges the symbol of rule i-1 with 0: nesting 1,200 levels deep.
+    base = 2
+    rules = [MergeRule(base, 1, 0, 1, 1)] + [
+        MergeRule(base + i, base + i - 1, 0, 1, 1) for i in range(1, 1200)]
+    vocab = Vocabulary(base_size=base, rules=tuple(rules))
+    assert vocab.decode(vocab.size - 1) == (1,) + (0,) * 1200
+
+
 def test_encode_reproduces_training_form():
     rng = random.Random(2024)
     for _ in range(100):

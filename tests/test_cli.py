@@ -1,11 +1,14 @@
 """Command-line behavior: flows, logs, exit codes, determinism."""
 
+import copy
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdbpe.cli import main
 from pdbpe import load_model
@@ -421,6 +424,121 @@ def test_transform_rejects_degenerate_bin_edges(tmp_path, capsys, corrupt,
     assert "Traceback" not in r.stderr
     assert message in r.stderr
     assert not (tmp_path / "g.csv").exists()
+
+
+_DELETE = object()
+
+
+def _set(*path, value):
+    """Corruption that sets the value at path, or deletes it for _DELETE."""
+    def corrupt(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        if value is _DELETE:
+            del doc[path[-1]]
+        else:
+            doc[path[-1]] = value
+    return corrupt
+
+
+def _rename_mined_channel(doc):
+    # Every copy of the mined channel is renamed; the data channel is not.
+    renamed = json.loads(json.dumps(doc).replace('"hr', '"zz'))
+    doc.update(renamed, channels=doc["channels"])
+
+
+def _two_entry_rule(doc):
+    rules = doc["vocabularies"]["hr"]["original"]["rules"]
+    rules[0] = rules[0][:2]
+
+
+def _doubling_chain(doc):
+    # 40 supported rules (s, s) whose last pattern is 2**40 symbols long.
+    vocab = doc["vocabularies"]["hr"]["original"]
+    rules = vocab["rules"]
+    for _ in range(40):
+        top = vocab["base_size"] + len(rules) - 1
+        rules.append([top + 1, top, top, 10**6, 10**6])
+
+
+_COLUMNS = "schema columns differ"
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (_set("schema", "columns", -1, "symbol", value=999), _COLUMNS),
+    (_set("schema", "columns", 0, "name", value="hr.original.S9"), _COLUMNS),
+    (_set("schema", "columns", 0, "channel", value=["hr"]), _COLUMNS),
+    (_set("config", "multivariate_mode", value="whiten_collapse"),
+     "mined_channels differ from ['combined']"),
+    (_rename_mined_channel, "mined_channels differ from ['hr']"),
+    (_two_entry_rule, "malformed model artifact"),
+    (lambda doc: doc["schema"].update(variance_kept=None, final_kept=None),
+     "malformed model artifact"),
+    (_doubling_chain, "schema columns are shorter than the supported patterns"),
+    (_set("rcsm_medians", "hr", "1", value=-5), "run-length medians must map"),
+    (_set("rcsm_medians", "hr", "4", value=2), "run-length medians must map"),
+    (_set("config", "W", value=3.5), "W must be an integer")],
+    ids=["symbol-999", "renamed-column", "channel-list", "mode-flipped",
+         "mined-channel-renamed", "two-entry-rule", "null-masks",
+         "doubling-chain", "negative-median", "median-symbol-beyond-K",
+         "fractional-W"])
+def test_transform_rejects_artifact_that_differs_from_its_derivation(
+        tmp_path, capsys, corrupt, message):
+    start = time.perf_counter()
+    r = _transform_corrupted_model(tmp_path, corrupt)
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert message in r.stderr
+    assert not (tmp_path / "g.csv").exists()
+    # Includes the discover run; expanding the doubling chain would not end.
+    assert time.perf_counter() - start < 2
+
+
+_POOL = [_DELETE, None, -1, 0, 999, 2**70, 1.5, "x", "", [], {}, [[1, 2]],
+         True, False]
+
+
+def _json_paths(node, path=()):
+    """Path of every value below node, as key/index tuples."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+@pytest.fixture(scope="module")
+def centroid_model(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("artifact")
+    data, labels = _write_motif_corpus(tmp)
+    model = tmp / "m.json"
+    assert main(["discover", "--data", data, "--labels", labels, "--k", "4",
+                 "--w", "3", "--centroids", "--model-out", str(model),
+                 "--features-out", str(tmp / "f.csv")]) == 0
+    return tmp, data, labels, json.loads(model.read_text())
+
+
+def test_transform_never_raises_on_a_corrupted_artifact(centroid_model):
+    tmp, data, labels, doc = centroid_model
+    # Sections first, so the long column list does not crowd out the rest.
+    sections = {key: [p for p in _json_paths(doc) if p[0] == key]
+                for key in doc}
+    argv = ["transform", "--model", str(tmp / "bad.json"), "--data", data,
+            "--labels", labels, "--features-out", str(tmp / "g.csv")]
+
+    @settings(derandomize=True, deadline=None, max_examples=200,
+              database=None)
+    @given(st.data())
+    def check(draw):
+        section = draw.draw(st.sampled_from(sorted(sections)))
+        path = draw.draw(st.sampled_from(sections[section]))
+        value = draw.draw(st.sampled_from(_POOL))
+        bad = copy.deepcopy(doc)
+        _set(*path, value=value)(bad)
+        (tmp / "bad.json").write_text(json.dumps(bad))
+        assert main(argv) in (0, 2)
+
+    check()
 
 
 def test_centroid_flow_through_cli(tmp_path, capsys):

@@ -151,6 +151,8 @@ def test_auc_tied_scores_use_midranks():
     assert auc_roc([0, 1], [0.1, 0.9]) == 1.0
     assert auc_roc([1, 0], [0.1, 0.9]) == 0.0
     assert auc_roc([0, 1, 0, 1], [0.5, 0.5, 0.5, 0.5]) == pytest.approx(0.5)
+    # NaN ties nothing: NaN scores rank last, one rank each in input order.
+    assert auc_roc([1, 0] * 8 + [1], [0.5] + [np.nan] * 16) == 0.5
     with pytest.raises(DataError):
         auc_roc([1, 1], [0.5, 0.6])
 
