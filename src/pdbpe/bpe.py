@@ -244,8 +244,3 @@ def encode_corpus(corpus: Corpus, vocab: Vocabulary) -> Corpus:
         if hits.size:
             tok, sid = _merge(tok, sid, hits, rule.new_symbol)
     return Corpus(tok, sid, corpus.n_series)
-
-
-def encode(symbols: Sequence[int], vocab: Vocabulary) -> list[int]:
-    """Apply the vocabulary's merge rules to one base-alphabet sequence."""
-    return encode_corpus(Corpus.from_sequences([symbols]), vocab).tokens.tolist()

@@ -243,7 +243,7 @@ def cmd_inspect(args) -> int:
                   f"{len(vocab.rules)} patterns identified, {emitted} supported, "
                   f"{kept} columns after pruning")
     print(f"final feature count: {len(final_cols)}"
-          + (" (x2 with centroids)" if model.centroid_table is not None else ""))
+          + (" (x2 with centroids)" if model.centroids else ""))
 
     if args.top <= 0:
         return 0

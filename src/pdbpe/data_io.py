@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -20,6 +21,19 @@ from .errors import DataError
 from .features import FeatureMatrix
 
 DATA_HEADER = ["series_id", "channel", "t", "value"]
+# Largest time index accepted; a series allocates 1 + max(t) samples.
+MAX_T = 2**24 - 1
+
+
+def _records(path: str, fh: IO[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each CSV record, numbered by the physical
+    line it ends on; text that is not valid CSV is a DataError."""
+    reader = csv.reader(fh)
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: malformed CSV: {exc}") from None
 
 
 def read_data_csv(path: str) -> Dataset:
@@ -33,15 +47,15 @@ def read_data_csv(path: str) -> Dataset:
     series_order: list[str] = []
     channel_order: list[str] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        records = _records(path, fh)
+        _, header = next(records, (1, None))
         if header is None:
             raise DataError(f"{path}: empty file, expected header "
                             f"{','.join(DATA_HEADER)}")
         if [h.strip() for h in header] != DATA_HEADER:
             raise DataError(f"{path}:1: bad header {header!r}, expected "
                             f"{','.join(DATA_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in records:
             if not row:
                 continue
             if len(row) != 4:
@@ -54,8 +68,9 @@ def read_data_csv(path: str) -> Dataset:
             except ValueError:
                 raise DataError(f"{path}:{lineno}: t must be an integer, "
                                 f"got {t_raw!r}") from None
-            if t < 0:
-                raise DataError(f"{path}:{lineno}: t must be >= 0, got {t}")
+            if not 0 <= t <= MAX_T:
+                bound = ">= 0" if t < 0 else f"<= {MAX_T}"
+                raise DataError(f"{path}:{lineno}: t must be {bound}, got {t}")
             try:
                 value = float(v_raw)
             except ValueError:
@@ -106,8 +121,8 @@ def read_labels_csv(path: str) -> dict[str, LabelRecord]:
     """Read series_id,label[,group_id] keyed by series id."""
     out: dict[str, LabelRecord] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        records = _records(path, fh)
+        _, header = next(records, (1, None))
         if header is None:
             raise DataError(f"{path}: empty labels file")
         header = [h.strip() for h in header]
@@ -115,7 +130,7 @@ def read_labels_csv(path: str) -> dict[str, LabelRecord]:
             raise DataError(f"{path}:1: bad header {header!r}, expected "
                             "series_id,label[,group_id]")
         has_group = len(header) == 3
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in records:
             if not row:
                 continue
             if len(row) != len(header):
@@ -162,14 +177,14 @@ def write_features_csv(matrix: FeatureMatrix, path: str) -> None:
 
 def read_features_csv(path: str) -> FeatureMatrix:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        records = _records(path, fh)
+        _, header = next(records, (1, None))
         if not header or header[0] != "series_id":
             raise DataError(f"{path}: not a feature CSV (missing series_id header)")
         names = tuple(header[1:])
         ids: list[str] = []
         rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in records:
             if not row:
                 continue
             if len(row) != len(header):

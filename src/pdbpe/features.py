@@ -182,12 +182,10 @@ def prune_correlated(values: np.ndarray, threshold: float = 0.95) -> tuple[np.nd
     return values[:, kept], kept
 
 
-def centroid_augment(values: np.ndarray, group_ids: Sequence[str | None]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Append each row's group centroid (the mean feature vector over rows
-    sharing its group id) to the row. Output has twice the columns. A row
-    without a group id is a hard error.
-
-    Returns (augmented_values, group -> centroid table).
+def centroid_augment(values: np.ndarray, group_ids: Sequence[str | None]) -> np.ndarray:
+    """Append each row's group centroid (the mean feature vector over the
+    rows of values sharing its group id) to the row. Output has twice the
+    columns. A row without a group id is a hard error.
     """
     values = np.asarray(values, dtype=np.float64)
     if len(group_ids) != values.shape[0]:
@@ -198,11 +196,10 @@ def centroid_augment(values: np.ndarray, group_ids: Sequence[str | None]) -> tup
             raise DataError(f"row {i} has no group id; centroid augmentation "
                             "requires one per row")
         rows_by_group.setdefault(str(gid), []).append(i)
-    table = {gid: values[rows].mean(axis=0) for gid, rows in rows_by_group.items()}
     centroids = np.empty_like(values)
-    for gid, rows in rows_by_group.items():
-        centroids[rows] = table[gid]
-    return np.hstack([values, centroids]), table
+    for rows in rows_by_group.values():
+        centroids[rows] = values[rows].mean(axis=0)
+    return np.hstack([values, centroids])
 
 
 def anova_f_rank(values: np.ndarray, labels: Sequence[str],

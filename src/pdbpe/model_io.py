@@ -63,9 +63,8 @@ def model_to_dict(model: FittedModel) -> dict[str, Any]:
             "final_kept": [int(b) for b in model.schema.final_kept],
         },
     }
-    if model.centroid_table is not None:
-        doc["centroids"] = {gid: [float(v) for v in vec]
-                            for gid, vec in sorted(model.centroid_table.items())}
+    if model.centroids:
+        doc["centroids"] = True
     return doc
 
 
@@ -179,10 +178,12 @@ def model_from_dict(doc: dict[str, Any]) -> FittedModel:
                 raise DataError(f"schema {mask} has {len(kept)} entries for "
                                 f"{len(expected)} columns")
             setattr(schema, mask, tuple(bool(b) for b in kept))
-        centroid_table = None
-        if "centroids" in doc:
-            centroid_table = {gid: np.array(vec, dtype=np.float64)
-                              for gid, vec in doc["centroids"].items()}
+        # Artifacts written before the flag hold a per-group table here.
+        centroids = doc.get("centroids", False)
+        if isinstance(centroids, dict):
+            centroids = True
+        if not isinstance(centroids, bool):
+            raise DataError("centroids must be true or false")
     except (KeyError, TypeError, ValueError, AttributeError, IndexError,
             OverflowError) as exc:
         raise DataError(f"malformed model artifact: {exc}") from exc
@@ -190,7 +191,7 @@ def model_from_dict(doc: dict[str, Any]) -> FittedModel:
                        n_training_series=n_training_series,
                        discretizers=discretizers, rcsm_medians=rcsm_medians,
                        vocabularies=vocabularies, schema=schema,
-                       centroid_table=centroid_table)
+                       centroids=centroids)
 
 
 def save_model(model: FittedModel, path: str) -> None:
@@ -204,7 +205,8 @@ def load_model(path: str) -> FittedModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the parser's recursion limit.
         raise DataError(f"{path}: not valid JSON: {exc}") from exc
     return model_from_dict(doc)
 

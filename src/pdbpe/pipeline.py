@@ -17,7 +17,7 @@ import numpy as np
 from .core import (Dataset, MultivariateMode, PipelineConfig, TimeSeries,
                    Variation)
 from .discretize import Discretizer, apply_discretizer, fit_discretizer
-from .errors import DataError
+from .errors import DataError, NumericError
 from .features import (CENTROID_PREFIX, FeatureDescriptor, FeatureMatrix,
                        FeatureSchema, assemble_matrix, build_schema,
                        centroid_augment, drop_zero_variance, prune_correlated)
@@ -33,8 +33,8 @@ COLLAPSED_CHANNEL = "combined"
 class FittedModel:
     """Everything needed to reproduce a transform: bin edges and fences per
     mined channel, run-length medians, per-(channel, variation) vocabularies,
-    the feature schema with pruning masks, and (optionally) the training
-    group-centroid table."""
+    the feature schema with pruning masks, and whether each output row gets
+    its group's mean feature vector appended (centroids)."""
 
     config: PipelineConfig
     channels: tuple[str, ...]
@@ -43,7 +43,7 @@ class FittedModel:
     rcsm_medians: dict[str, dict[int, int]]
     vocabularies: dict[tuple[str, Variation], Vocabulary]
     schema: FeatureSchema
-    centroid_table: dict[str, np.ndarray] | None = None
+    centroids: bool = False
 
     @property
     def mined_channels(self) -> tuple[str, ...]:
@@ -58,7 +58,7 @@ class FittedModel:
 
     def output_names(self) -> tuple[str, ...]:
         names = self.schema.final_names()
-        if self.centroid_table is not None:
+        if self.centroids:
             names = names + tuple(CENTROID_PREFIX + n for n in names)
         return names
 
@@ -74,13 +74,16 @@ def mined_channels_of(channels: tuple[str, ...],
 def _paa_streams(ts: TimeSeries, config: PipelineConfig) -> dict[str, np.ndarray]:
     """Normalized, PAA-aggregated value stream per mined channel."""
     out: dict[str, np.ndarray] = {}
-    if config.multivariate_mode is MultivariateMode.WHITEN_COLLAPSE:
-        collapsed = collapse_series(ts.values, ts.mask)
-        out[COLLAPSED_CHANNEL] = paa(collapsed, config.W)
-    else:
-        for j, ch in enumerate(ts.channels):
-            normalized = zscore_normalize(ts.values[:, j], ts.mask[:, j])
-            out[ch] = paa(normalized, config.W)
+    try:
+        if config.multivariate_mode is MultivariateMode.WHITEN_COLLAPSE:
+            collapsed = collapse_series(ts.values, ts.mask)
+            out[COLLAPSED_CHANNEL] = paa(collapsed, config.W)
+        else:
+            for j, ch in enumerate(ts.channels):
+                normalized = zscore_normalize(ts.values[:, j], ts.mask[:, j])
+                out[ch] = paa(normalized, config.W)
+    except NumericError as exc:
+        raise NumericError(f"series {ts.id!r}: {exc}") from None
     return out
 
 
@@ -179,11 +182,10 @@ def fit_pipeline(dataset: Dataset, config: PipelineConfig,
     model = FittedModel(config=config, channels=dataset.channels,
                         n_training_series=n,
                         discretizers=discretizers, rcsm_medians=rcsm_medians,
-                        vocabularies=vocabularies, schema=schema)
-    values, model.centroid_table = _output_values(model, dataset, raw.values,
-                                                  centroids)
+                        vocabularies=vocabularies, schema=schema,
+                        centroids=centroids)
     return model, FeatureMatrix(ids=dataset.ids, names=model.output_names(),
-                                values=values)
+                                values=_output_values(model, dataset, raw.values))
 
 
 def transform_dataset(model: FittedModel, dataset: Dataset) -> FeatureMatrix:
@@ -201,19 +203,17 @@ def transform_dataset(model: FittedModel, dataset: Dataset) -> FeatureMatrix:
                for key, corpus in _views(symbols, model.config,
                                          model.rcsm_medians)}
     raw = assemble_matrix(dataset.ids, encoded, model.schema).values
-    values, _table = _output_values(model, dataset, raw,
-                                    model.centroid_table is not None)
     return FeatureMatrix(ids=dataset.ids, names=model.output_names(),
-                         values=values)
+                         values=_output_values(model, dataset, raw))
 
 
-def _output_values(model: FittedModel, dataset: Dataset, raw: np.ndarray,
-                   centroids: bool) -> tuple[np.ndarray, dict[str, np.ndarray] | None]:
+def _output_values(model: FittedModel, dataset: Dataset,
+                   raw: np.ndarray) -> np.ndarray:
     """The columns kept by pruning and, with centroids, each row's group
-    mean appended; also the group-centroid table (None without centroids)."""
+    mean over the rows of dataset appended."""
     values = raw[:, np.asarray(model.schema.final_kept, dtype=bool)]
-    if not centroids:
-        return values, None
+    if not model.centroids:
+        return values
     return centroid_augment(values, [ts.group_id for ts in dataset])
 
 

@@ -20,7 +20,8 @@ def zscore_normalize(values, mask=None) -> np.ndarray:
     Statistics are computed over observed (mask True) entries only; masked
     entries are set to 0.0 in the output, which equals the post-normalization
     mean. A constant sequence (std < 1e-12) or one with no observed entries
-    comes back as all zeros.
+    comes back as all zeros. Values too large for a finite mean and std are
+    a NumericError.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
@@ -32,8 +33,13 @@ def zscore_normalize(values, mask=None) -> np.ndarray:
     observed = values[mask]
     if observed.size == 0:
         return np.zeros_like(values)
-    mean = observed.mean()
-    std = observed.std()  # population convention (divide by n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = observed.mean()
+        std = observed.std()  # population convention (divide by n)
+    # A mean that overflows makes the std non-finite as well.
+    if not np.isfinite(std):
+        raise NumericError("values too large to normalize: their mean or "
+                           "standard deviation overflows")
     out = np.zeros_like(values)
     if std < _STD_FLOOR:
         return out
@@ -57,7 +63,8 @@ def fit_whitening(values, mask=None) -> WhiteningStats:
     covariance is taken over deviations with unobserved entries zeroed (i.e.
     filled at the channel mean). If the covariance is not positive definite
     as-is, a ridge of 1e-8 * trace/d is added to the diagonal; if it still
-    fails, the fit is a hard error.
+    fails, or values are too large for a finite covariance, the fit is a
+    hard error.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
@@ -68,12 +75,16 @@ def fit_whitening(values, mask=None) -> WhiteningStats:
     else:
         mask = np.asarray(mask, dtype=bool)
     mean = np.zeros(d)
-    for j in range(d):
-        col = values[mask[:, j], j]
-        if col.size:
-            mean[j] = col.mean()
-    dev = np.where(mask, values - mean, 0.0)
-    cov = dev.T @ dev / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(d):
+            col = values[mask[:, j], j]
+            if col.size:
+                mean[j] = col.mean()
+        dev = np.where(mask, values - mean, 0.0)
+        cov = dev.T @ dev / n
+    if not np.isfinite(cov).all():
+        raise NumericError("values too large to whiten: their covariance "
+                           "overflows")
     try:
         factor = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:

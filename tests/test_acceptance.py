@@ -18,13 +18,18 @@ import numpy as np
 
 from naive_bpe import naive_fit
 from pdbpe import Dataset, PipelineConfig, TimeSeries, fit_pipeline
-from pdbpe.bpe import Corpus, encode, encode_corpus, fit_bpe
+from pdbpe.bpe import Corpus, encode_corpus, fit_bpe
 from pdbpe.core import Variation
 from pdbpe.preprocess import fit_whitening, whiten_multivariate
 from pdbpe.variations import view
 from synth import dataset_to_csv, motif_dataset, random_symbol_corpus
 
 REF = [1, 1, 2, 2, 2, 0, 0, 0, 4]
+
+
+def encode(symbols, vocab):
+    """The merge rules applied to one base-alphabet sequence."""
+    return encode_corpus(Corpus.from_sequences([symbols]), vocab).tokens.tolist()
 
 
 def _cli(*args, env=None):

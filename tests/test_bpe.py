@@ -6,8 +6,12 @@ import pytest
 
 from naive_bpe import count_all, naive_fit
 from pdbpe import DataError
-from pdbpe.bpe import (Corpus, MergeRule, Vocabulary, encode, encode_corpus,
-                       fit_bpe)
+from pdbpe.bpe import Corpus, MergeRule, Vocabulary, encode_corpus, fit_bpe
+
+
+def encode(symbols, vocab):
+    """The merge rules applied to one base-alphabet sequence."""
+    return encode_corpus(Corpus.from_sequences([symbols]), vocab).tokens.tolist()
 
 
 def _first_rule(corpus, base_size):

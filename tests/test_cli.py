@@ -561,3 +561,97 @@ def test_centroid_flow_through_cli(tmp_path, capsys):
     assert code == 0
     assert feats.read_bytes() == (tmp_path / "g.csv").read_bytes()
     capsys.readouterr()
+
+
+def test_oversized_csv_field_is_data_error(tmp_path, capsys):
+    data, _ = _write_motif_corpus(tmp_path)
+    model, feats = str(tmp_path / "m.json"), str(tmp_path / "f.csv")
+    assert main(["discover", "--data", data, "--k", "4", "--w", "3",
+                 "--model-out", model, "--features-out", feats]) == 0
+    big = "9" * 200_000
+    bad_data = tmp_path / "bad.csv"
+    bad_data.write_text(f"series_id,channel,t,value\ns0,hr,0,1.0\ns0,hr,1,{big}\n")
+    bad_labels = tmp_path / "bad_labels.csv"
+    bad_labels.write_text(f"series_id,label\ns0,{big}\n")
+    capsys.readouterr()
+    assert main(["discover", "--data", str(bad_data), "--k", "4", "--w", "3",
+                 "--model-out", str(tmp_path / "m2.json"),
+                 "--features-out", str(tmp_path / "f2.csv")]) == 2
+    assert "bad.csv:3: malformed CSV" in capsys.readouterr().err
+    assert main(["inspect", "--model", model, "--features", feats,
+                 "--labels", str(bad_labels)]) == 2
+    assert "bad_labels.csv:2: malformed CSV" in capsys.readouterr().err
+
+
+def test_deeply_nested_model_file_is_data_error(tmp_path, capsys):
+    data, _ = _write_motif_corpus(tmp_path)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    assert main(["transform", "--model", str(deep), "--data", data,
+                 "--features-out", str(tmp_path / "g.csv")]) == 2
+    assert "deep.json: not valid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists()
+
+
+@pytest.mark.parametrize("mode", ["per_channel", "whiten_collapse"])
+def test_values_too_large_to_normalize_are_numeric_error(tmp_path, capsys,
+                                                         mode):
+    rng = np.random.default_rng(4)
+    data = tmp_path / "data.csv"
+    with open(data, "w") as fh:
+        fh.write("series_id,channel,t,value\n")
+        for i in range(6):
+            for ch in ("hr", "bp"):
+                scale = 1e200 if (i, ch) == (2, "hr") else 1.0
+                for t, v in enumerate(rng.normal(size=30) * scale):
+                    fh.write(f"s{i},{ch},{t},{float(v)!r}\n")
+    assert main(["discover", "--data", str(data), "--k", "4", "--w", "2",
+                 "--multivariate-mode", mode,
+                 "--model-out", str(tmp_path / "m.json"),
+                 "--features-out", str(tmp_path / "f.csv")]) == 3
+    assert "series 's2': values too large to" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+# Fields that a hostile or damaged data CSV may hold.
+_BAD_FIELDS = ["9" * 200_000, str(2**24), str(10**13), "-1", "x", "nan",
+               "inf", "1e200", "1e308"]
+
+
+def test_data_csv_fuzz_exits_0_2_or_3(tmp_path, capsys):
+    data, model = tmp_path / "data.csv", str(tmp_path / "m.json")
+    feats, again = tmp_path / "f.csv", tmp_path / "g.csv"
+
+    @settings(derandomize=True, deadline=None, max_examples=200,
+              database=None)
+    @given(n_series=st.integers(1, 6), channels=st.sampled_from(["hr", "hr,bp"]),
+           bad_rate=st.sampled_from([0.0, 0.0, 0.01, 0.05]),
+           seed=st.integers(0, 2**32 - 1))
+    def check(n_series, channels, bad_rate, seed):
+        rng = np.random.default_rng(seed)
+        rows = []
+        for i in range(n_series):
+            length = int(rng.integers(1, 31))
+            for ch in channels.split(","):
+                wave = np.sin(np.arange(length) * rng.uniform(0.1, 1.0))
+                for t, v in enumerate(wave + rng.normal(0, 0.3, length)):
+                    # Gaps, but the last sample fixes the series' length.
+                    if t == length - 1 or rng.random() > 0.1:
+                        rows.append([f"s{i}", ch, str(t), repr(float(v))])
+        for row in rows:
+            if rng.random() < bad_rate:
+                row[int(rng.integers(2, 4))] = str(rng.choice(_BAD_FIELDS))
+        data.write_text("series_id,channel,t,value\n"
+                        + "".join(",".join(r) + "\n" for r in rows))
+        for mode in ("per_channel", "whiten_collapse"):
+            code = main(["discover", "--data", str(data), "--k", "4",
+                         "--w", "2", "--multivariate-mode", mode,
+                         "--model-out", model, "--features-out", str(feats)])
+            assert code in (0, 2, 3)
+            if code == 0:
+                assert main(["transform", "--model", model, "--data",
+                             str(data), "--features-out", str(again)]) == 0
+                assert again.read_bytes() == feats.read_bytes()
+        capsys.readouterr()
+
+    check()

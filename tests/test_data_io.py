@@ -65,6 +65,8 @@ def test_read_data_missing_channel_for_series_rejected(tmp_path):
 @pytest.mark.parametrize("row,fragment", [
     ("a,hr,x,1.0", "integer"),
     ("a,hr,-1,1.0", ">= 0"),
+    ("a,hr,16777216,1.0", "<= 16777215"),
+    ("a,hr,10000000000000,1.0", "<= 16777215"),
     ("a,hr,0,oops", "number"),
     ("a,hr,0,nan", "finite"),
     ("a,hr,0", "4 fields"),
@@ -76,6 +78,30 @@ def test_read_data_bad_rows_are_line_numbered(tmp_path, row, fragment):
     with pytest.raises(DataError, match=fragment) as err:
         read_data_csv(path)
     assert ":2" in str(err.value)
+
+
+@pytest.mark.parametrize("reader,header", [
+    (read_data_csv, "series_id,channel,t,value"),
+    (read_labels_csv, "series_id,label"),
+    (read_features_csv, "series_id,hr.original.S0"),
+])
+def test_malformed_csv_text_is_line_numbered(tmp_path, reader, header):
+    # csv.reader refuses fields over 131,072 characters.
+    n_fields = header.count(",") + 1
+    good = ",".join(["a"] + ["0"] * (n_fields - 1))
+    big = ",".join(["b"] + ["0"] * (n_fields - 2) + ["9" * 200_000])
+    path = _write(tmp_path / "x.csv", f"{header}\n{good}\n{big}\n")
+    with pytest.raises(DataError, match=r"x\.csv:3: malformed CSV: field "
+                                        r"larger than field limit"):
+        reader(path)
+
+
+def test_line_numbers_count_physical_lines(tmp_path):
+    # A quoted field may hold a newline; the bad row is still line 4.
+    path = _write(tmp_path / "d.csv", 'series_id,channel,t,value\n'
+                  '"a\nb",hr,0,1.0\na,hr,x,1.0\n')
+    with pytest.raises(DataError, match=r"d\.csv:4: t must be an integer"):
+        read_data_csv(path)
 
 
 def test_read_data_duplicate_entry_rejected(tmp_path):

@@ -145,12 +145,12 @@ def test_prune_correlated_rejects_constant_columns():
 
 def test_centroid_augment_group_means():
     values = np.array([[1.0, 0.0], [3.0, 2.0], [5.0, 4.0]])
-    out, table = centroid_augment(values, ["g1", "g1", "g2"])
+    out = centroid_augment(values, ["g1", "g1", "g2"])
     assert out.shape == (3, 4)
     assert np.allclose(out[0, 2:], [2.0, 1.0])
     assert np.allclose(out[1, 2:], [2.0, 1.0])
     assert np.allclose(out[2, 2:], [5.0, 4.0])
-    assert np.allclose(table["g1"], [2.0, 1.0])
+    assert np.array_equal(out[:, :2], values)
     with pytest.raises(DataError):
         centroid_augment(values, ["g1", None, "g2"])
 

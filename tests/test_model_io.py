@@ -8,7 +8,7 @@ import pytest
 from pdbpe import (DataError, PipelineConfig, fit_pipeline, load_model,
                    save_model, transform_dataset)
 from pdbpe.model_io import (FORMAT_NAME, FORMAT_VERSION, fingerprint_model,
-                            model_to_dict)
+                            model_from_dict, model_to_dict)
 from synth import random_dataset
 
 
@@ -40,17 +40,35 @@ def test_save_load_save_is_byte_stable(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_round_trip_keeps_centroid_table(tmp_path):
+def test_round_trip_keeps_centroid_flag(tmp_path):
     ds, model, matrix = _fitted(tmp_path, centroids=True, seed=2)
     path = tmp_path / "model.json"
     save_model(model, str(path))
+    assert json.loads(path.read_text())["centroids"] is True
     loaded = load_model(str(path))
-    assert loaded.centroid_table is not None
-    assert set(loaded.centroid_table) == set(model.centroid_table)
-    for gid, vec in model.centroid_table.items():
-        assert np.array_equal(loaded.centroid_table[gid], vec)
+    assert loaded.centroids is True
     out = transform_dataset(loaded, ds)
+    assert out.names == matrix.names
     assert np.array_equal(out.values, matrix.values)
+
+
+def test_legacy_centroid_table_loads_as_flag(tmp_path):
+    ds, model, matrix = _fitted(tmp_path, centroids=True, seed=2)
+    doc = model_to_dict(model)
+    # Earlier artifacts stored one mean vector per training group; their
+    # values were never read.
+    doc["centroids"] = {"g0": [0.5] * 3, "nobody": [0.0]}
+    loaded = model_from_dict(doc)
+    assert loaded.centroids is True
+    assert np.array_equal(transform_dataset(loaded, ds).values, matrix.values)
+    doc["centroids"] = False
+    assert model_from_dict(doc).centroids is False
+    del doc["centroids"]
+    assert model_from_dict(doc).centroids is False
+    for bad in (None, [], 1, 0, "x"):
+        doc["centroids"] = bad
+        with pytest.raises(DataError, match="centroids must be true or false"):
+            model_from_dict(doc)
 
 
 def test_artifact_is_versioned_json(tmp_path):
@@ -61,6 +79,7 @@ def test_artifact_is_versioned_json(tmp_path):
     assert doc["format"] == FORMAT_NAME
     assert doc["format_version"] == FORMAT_VERSION
     assert set(doc["vocabularies"]) == set(model.mined_channels)
+    assert "centroids" not in doc
 
 
 def test_load_rejects_garbage(tmp_path):

@@ -145,7 +145,7 @@ def test_centroids_require_group_ids_and_double_columns():
     base = len(model.schema.final_names())
     assert matrix.values.shape[1] == 2 * base
     assert matrix.names[base].startswith("centroid.")
-    assert model.centroid_table is not None
+    assert model.centroids is True
     no_groups = random_dataset(rng, n_series=6, n_channels=1, length=50,
                                with_groups=False)
     with pytest.raises(DataError):

@@ -47,6 +47,15 @@ def test_zscore_randomized_properties():
         assert abs(z.std() - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("values", [
+    [1e200, -1e200, 0.0],       # the squared deviations overflow
+    [1e308, 1e308],             # the sum behind the mean overflows
+])
+def test_zscore_values_too_large_are_numeric_error(values):
+    with pytest.raises(NumericError, match="too large to normalize"):
+        zscore_normalize(values)
+
+
 def test_paa_exact_windows():
     x = np.array([1.0, 3.0, 2.0, 4.0, 5.0, 7.0])
     assert np.allclose(paa(x, 2), [2.0, 3.0, 6.0])
@@ -120,6 +129,14 @@ def test_whitening_ridge_rescues_rank_deficiency():
 def test_whitening_degenerate_all_zero_is_numeric_error():
     with pytest.raises(NumericError):
         fit_whitening(np.zeros((8, 2)))
+
+
+def test_whitening_values_too_large_are_numeric_error():
+    x = np.array([[1e200, 1.0], [-1e200, 2.0], [3e200, 0.0]])
+    with pytest.raises(NumericError, match="too large to whiten"):
+        fit_whitening(x)
+    with pytest.raises(NumericError, match="too large to whiten"):
+        collapse_series(x, np.ones_like(x, dtype=bool))
 
 
 def test_whitening_respects_mask():

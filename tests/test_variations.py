@@ -6,12 +6,17 @@ from collections import Counter
 
 import numpy as np
 
-from pdbpe.bpe import Corpus, encode, encode_corpus, fit_bpe
+from pdbpe.bpe import Corpus, encode_corpus, fit_bpe
 from pdbpe.core import Variation
 from pdbpe.features import FeatureDescriptor, FeatureSchema, assemble_matrix
 from pdbpe.variations import fit_rcsm_medians, runs, view
 
 REF = [1, 1, 2, 2, 2, 0, 0, 0, 4]
+
+
+def encode(symbols, vocab):
+    """The merge rules applied to one base-alphabet sequence."""
+    return encode_corpus(Corpus.from_sequences([symbols]), vocab).tokens.tolist()
 
 
 def _view(sequences, variation, medians=None, K=10):
