@@ -133,6 +133,14 @@ def _align_channels(dataset: Dataset, channels: tuple[str, ...]) -> Dataset:
     return Dataset(series=series)
 
 
+def _require_group_ids(dataset: Dataset) -> None:
+    """Centroid augmentation needs a group id on every series."""
+    for ts in dataset:
+        if ts.group_id is None or ts.group_id == "":
+            raise DataError(f"series {ts.id!r} has no group id; centroid "
+                            "augmentation requires one per series")
+
+
 def fit_pipeline(dataset: Dataset, config: PipelineConfig,
                  centroids: bool = False) -> tuple[FittedModel, FeatureMatrix]:
     """Fit the full pipeline on a training dataset.
@@ -143,6 +151,8 @@ def fit_pipeline(dataset: Dataset, config: PipelineConfig,
     """
     if len(dataset) == 0:
         raise DataError("cannot fit on an empty dataset")
+    if centroids:
+        _require_group_ids(dataset)
     n = len(dataset)
     mined = mined_channels_of(dataset.channels, config.multivariate_mode)
 
@@ -197,6 +207,8 @@ def transform_dataset(model: FittedModel, dataset: Dataset) -> FeatureMatrix:
     group id; centroids are the group means over the rows being transformed.
     """
     dataset = _align_channels(dataset, model.channels)
+    if model.centroids:
+        _require_group_ids(dataset)
     streams = [_paa_streams(ts, model.config) for ts in dataset.series]
     symbols = _symbols(streams, model.mined_channels, model.discretizers)
     encoded = {key: encode_corpus(corpus, model.vocabularies[key])

@@ -563,6 +563,22 @@ def test_centroid_flow_through_cli(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_centroid_transform_names_the_series_without_a_group(centroid_model,
+                                                             capsys):
+    tmp, data, labels, _ = centroid_model
+    rows = open(labels).read().splitlines()
+    # Blank the group ids of s5 and s6 (rows 6 and 7 after the header).
+    for i in (6, 7):
+        rows[i] = rows[i].rsplit(",", 1)[0] + ","
+    blanked = tmp / "blanked.csv"
+    blanked.write_text("\n".join(rows) + "\n")
+    capsys.readouterr()
+    code = main(["transform", "--model", str(tmp / "m.json"), "--data", data,
+                 "--labels", str(blanked), "--features-out", str(tmp / "g.csv")])
+    assert code == 2
+    assert "series 's5' has no group id" in capsys.readouterr().err
+
+
 def test_oversized_csv_field_is_data_error(tmp_path, capsys):
     data, _ = _write_motif_corpus(tmp_path)
     model, feats = str(tmp_path / "m.json"), str(tmp_path / "f.csv")

@@ -1,12 +1,19 @@
 """CSV and config parsing: strictness, ordering, and round trips."""
 
+import csv
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import naive_csv
 from pdbpe import DataError, PipelineConfig, fit_pipeline
+from pdbpe import data_io
 from pdbpe.data_io import (attach_labels, read_config_file, read_data_csv,
                            read_features_csv, read_labels_csv,
                            write_features_csv)
+from pdbpe.features import FeatureMatrix
 from synth import random_dataset
 
 
@@ -113,6 +120,185 @@ def test_read_data_duplicate_entry_rejected(tmp_path):
     ]))
     with pytest.raises(DataError, match="duplicate"):
         read_data_csv(path)
+
+
+def test_total_samples_are_bounded_before_allocating(tmp_path):
+    # Each series needs 2**24 samples; five of them exceed MAX_SAMPLES.
+    last = data_io.MAX_T
+    path = _write(tmp_path / "d.csv", "series_id,channel,t,value\n" + "".join(
+        f"s{i},hr,0,1\ns{i},hr,{last},2\n" for i in range(5)))
+    with pytest.raises(DataError, match=r"d\.csv: the series need 83886080 "
+                                        r"samples .* MAX_SAMPLES = 67108864"):
+        read_data_csv(path)
+
+
+def test_total_samples_bound_is_inclusive(tmp_path, monkeypatch):
+    # Two series of lengths 3 and 4 over two channels need 14 samples.
+    path = _write(tmp_path / "d.csv", "\n".join([
+        "series_id,channel,t,value",
+        "a,hr,2,1", "a,bp,0,1", "b,hr,3,1", "b,bp,0,1", ""]))
+    monkeypatch.setattr(data_io, "MAX_SAMPLES", 14)
+    assert [ts.length for ts in read_data_csv(path)] == [3, 4]
+    monkeypatch.setattr(data_io, "MAX_SAMPLES", 13)
+    with pytest.raises(DataError, match="need 14 samples"):
+        read_data_csv(path)
+
+
+_IDS = ["s0", "s1", "s2", " s1 ", "é", "系列", "a,b", 'q"x', "a\nb", "s\x00"]
+_CHANNELS = ["hr", "bp", " hr", "h\r"]
+_BAD_T = ["x", "-1", "16777216", "10000000000000", " 3 ", "+2", "1_0", "٣",
+          "", "3.0", "9" * 40]
+_BAD_V = ["oops", "nan", "inf", "-inf", "1e400", " 1.5 ", "-0.0", "",
+          "1_0.5", "٣", "0x1"]
+
+
+def _field(rnd, text, quote_rate):
+    """text as a CSV field: quoted when it must be, sometimes when not."""
+    if any(c in text for c in ',"\r\n') or rnd.random() < quote_rate:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _random_data_csv(rnd):
+    """Text of a data CSV, from clean to hostile."""
+    hostile = rnd.choice([0.0, 0.0, 0.01, 0.03, 0.1])
+    ids = _IDS[:3] if rnd.random() < 0.7 else _IDS
+    ids = rnd.sample(ids, rnd.randint(1, len(ids)) if rnd.random() < 0.95 else 0)
+    channels = _CHANNELS[:2] if rnd.random() < 0.7 else _CHANNELS
+    channels = rnd.sample(channels, rnd.randint(1, 2))
+    header = "series_id,channel,t,value"
+    if rnd.random() < 0.1:
+        header = rnd.choice([" series_id , channel,t,value",
+                             "\ufeff" + header, "series_id,channel,t",
+                             "sid,ch,t,v", ""])
+    rows = []
+    for sid in ids:
+        for ch in channels:
+            if rnd.random() < hostile:
+                continue  # a missing channel
+            for t in rnd.sample(range(30), rnd.randint(1, 12)):
+                rows.append([sid, ch, str(t), repr(rnd.gauss(0, 3))])
+    if rnd.random() < 0.3:
+        rnd.shuffle(rows)
+    for i in range(len(rows)):
+        if rnd.random() >= hostile:
+            continue
+        kind = rnd.randrange(7)
+        if kind == 0:
+            rows[i][2] = rnd.choice(_BAD_T)
+        elif kind == 1:
+            rows[i][3] = rnd.choice(_BAD_V)
+        elif kind == 2 and i:
+            rows[i][:3] = rnd.choice(rows[:i])[:3]  # a duplicate
+        elif kind == 3:
+            rows[i][rnd.randrange(4)] = " " + rows[i][rnd.randrange(4)] + "\t"
+        elif kind == 4:
+            rows[i] = rows[i][:rnd.randint(0, 5)] + ["1"] * rnd.randint(0, 1)
+        elif kind == 5:
+            rows[i][rnd.randrange(4)] = "9" * (csv.field_size_limit() + 1)
+        else:
+            rows[i][0] = rows[i][0][:1] + "\x00"
+    quote_rate = rnd.choice([0.0, 0.0, 0.01, 0.2])
+    lines = [header] + [",".join(_field(rnd, f, quote_rate) for f in row)
+                        for row in rows]
+    for _ in range(rnd.randint(0, 3) if rnd.random() < 0.3 else 0):
+        blank = "" if rnd.random() < 0.9 else rnd.choice(["  ", "\t"])
+        lines.insert(rnd.randint(1, len(lines)), blank)
+    ends = ["\n"]
+    if rnd.random() < 0.2:
+        ends = rnd.choice([["\r\n"], ["\n"] * 10 + ["\r\n", "\r"]])
+    text = "".join(line + rnd.choice(ends) for line in lines)
+    return text if rnd.random() < 0.9 else text.rstrip("\r\n")
+
+
+def _outcome(reader, path):
+    try:
+        ds = reader(path)
+    except DataError as exc:
+        return str(exc)
+    return [(ts.id, ts.channels, ts.values.tobytes(), ts.values.shape,
+             ts.mask.tobytes()) for ts in ds]
+
+
+def test_read_data_matches_naive_reader(tmp_path, monkeypatch):
+    path = tmp_path / "d.csv"
+    outcomes = []
+
+    @settings(derandomize=True, deadline=None, max_examples=200,
+              database=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           block=st.sampled_from([1, 40, 200, 2**18]),
+           max_samples=st.sampled_from([100, 2**26, 2**26, 2**26]))
+    def check(seed, block, max_samples):
+        text = _random_data_csv(random.Random(seed))
+        path.write_bytes(text.encode("utf-8"))
+        monkeypatch.setattr(data_io, "BLOCK_CHARS", block)
+        monkeypatch.setattr(data_io, "MAX_SAMPLES", max_samples)
+        expected = _outcome(naive_csv.read_data_csv, str(path))
+        assert _outcome(read_data_csv, str(path)) == expected
+        outcomes.append(expected)
+
+    check()
+    # Both kinds of outcome are well represented.
+    errors = [o for o in outcomes if isinstance(o, str)]
+    assert 40 <= len(errors) <= 160
+
+
+def test_first_quote_after_the_first_block(tmp_path, monkeypatch):
+    # The fast tokenizer splits the early blocks; csv.reader takes over at
+    # the block with the quote, and later line numbers stay right.
+    rows = [f"s{i // 10},hr,{i % 10},{i}" for i in range(60)]
+    rows[40] = '"s4",hr,0,40'
+    path = _write(tmp_path / "d.csv", "series_id,channel,t,value\n"
+                  + "\n".join(rows) + "\ns5,hr,x,1\n")
+    monkeypatch.setattr(data_io, "BLOCK_CHARS", 64)
+    with pytest.raises(DataError, match=r"d\.csv:62: t must be an integer"):
+        read_data_csv(path)
+    assert _outcome(naive_csv.read_data_csv, path) == _outcome(read_data_csv, path)
+
+
+def test_rows_whose_widths_add_up_are_still_line_numbered(tmp_path):
+    # 3 + 5 fields fill two 4-field rows; the short row is the error.
+    path = _write(tmp_path / "d.csv", "series_id,channel,t,value\n"
+                  "a,hr,0,1\na,hr,1\na,hr,2,1,9\n")
+    with pytest.raises(DataError, match=r"d\.csv:3: expected 4 fields, got 3"):
+        read_data_csv(path)
+
+
+def test_duplicate_in_a_later_block_comes_before_later_errors(tmp_path,
+                                                              monkeypatch):
+    path = _write(tmp_path / "d.csv", "series_id,channel,t,value\n"
+                  + "".join(f"a,hr,{t},1\n" for t in range(20))
+                  + "a,hr,3,2\n" + "a,hr,x,1\n")
+    monkeypatch.setattr(data_io, "BLOCK_CHARS", 32)
+    with pytest.raises(DataError, match=r"d\.csv:22: duplicate entry for "
+                                        r"series 'a' channel 'hr' t=3"):
+        read_data_csv(path)
+
+
+def _reference_features_csv(matrix, path):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["series_id", *matrix.names])
+        for i, sid in enumerate(matrix.ids):
+            writer.writerow([sid] + [f"{v:.17g}" for v in matrix.values[i]])
+
+
+@pytest.mark.parametrize("n_cols", [0, 1, 4])
+def test_write_features_csv_bytes_match_csv_writer(tmp_path, n_cols):
+    ids = ("plain", "a,b", 'say "hi"', "two\nlines", "", " pad ", "é")
+    pool = [-0.0, 5e-324, 1e308, 0.1, 1.0 / 3.0, -2.5, 0.0, 123456789.0]
+    values = np.array([[pool[(i + j) % len(pool)] for j in range(n_cols)]
+                       for i in range(len(ids))]).reshape(len(ids), n_cols)
+    names = tuple(f"c{j}" for j in range(n_cols - 1)) + ("x,y",) * (n_cols > 0)
+    matrix = FeatureMatrix(ids=ids, names=names, values=values)
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    write_features_csv(matrix, str(ours))
+    _reference_features_csv(matrix, str(ref))
+    assert ours.read_bytes() == ref.read_bytes()
+    back = read_features_csv(str(ours))
+    assert back.ids == ids and back.names == names
+    assert back.values.tobytes() == values.tobytes()
 
 
 def test_read_data_bad_header_rejected(tmp_path):

@@ -152,6 +152,26 @@ def test_centroids_require_group_ids_and_double_columns():
         fit_pipeline(no_groups, CFG, centroids=True)
 
 
+def test_missing_group_ids_are_rejected_before_preprocessing(monkeypatch):
+    rng = np.random.default_rng(12)
+    ds = random_dataset(rng, n_series=6, n_channels=1, length=40,
+                        with_groups=True)
+    model, _ = fit_pipeline(ds, CFG, centroids=True)
+    series = list(ds)
+    series[3] = TimeSeries(id="r3", channels=series[3].channels,
+                           values=series[3].values, mask=series[3].mask)
+    partial = Dataset(tuple(series))
+
+    def no_preprocessing(*args):
+        raise AssertionError("preprocessing ran before the group id check")
+
+    monkeypatch.setattr("pdbpe.pipeline._paa_streams", no_preprocessing)
+    with pytest.raises(DataError, match="series 'r3' has no group id"):
+        fit_pipeline(partial, CFG, centroids=True)
+    with pytest.raises(DataError, match="series 'r3' has no group id"):
+        transform_dataset(model, partial)
+
+
 def test_transform_centroids_are_batch_local():
     rng = np.random.default_rng(11)
     ds = random_dataset(rng, n_series=8, n_channels=1, length=50,
