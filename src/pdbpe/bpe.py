@@ -12,8 +12,8 @@ array, a non-decreasing series index beside it, and the series count (empty
 series included). Pairs never cross a series boundary. A self-pair (a, a)
 counts only at even offsets inside its run of a, which is the
 non-overlapping left-to-right convention in array form. The miner recounts
-every pair of the corpus on each iteration; encoding applies each rule to
-the whole corpus in one pass and returns a new ``Corpus``.
+every pair on each iteration and returns its rules with the merged corpus;
+encoding applies each rule to the whole corpus in one pass.
 """
 
 from __future__ import annotations
@@ -187,16 +187,16 @@ def _merge(tok: np.ndarray, sid: np.ndarray, hits: np.ndarray,
 
 
 def fit_bpe(corpus: Corpus, base_size: int, P: float = 0.20,
-            U: float = 0.001) -> Vocabulary:
-    """Learn a merge-rule vocabulary from a base-symbol corpus.
+            U: float = 0.001) -> tuple[Vocabulary, Corpus]:
+    """Learn a merge-rule vocabulary from a base-symbol corpus; return it
+    with the training corpus as the merges left it.
 
     Each iteration recounts every pair of the flat corpus with one bincount
     over left*V + right codes (V the current vocabulary size), merges the
     most frequent pair and assigns it the next symbol id from base_size
     upward. argmax takes the first maximum, so ties go to the smallest
     (left, right). An empty corpus yields an empty vocabulary. N is
-    corpus.n_series. The training corpus in its end-of-training form is
-    encode_corpus(corpus, vocab).
+    corpus.n_series.
     """
     _check_alphabet(corpus.tokens, base_size, "corpus symbol")
     tok, sid = corpus.tokens, corpus.series
@@ -223,9 +223,10 @@ def fit_bpe(corpus: Corpus, base_size: int, P: float = 0.20,
                                train_series_support=support))
         tok, sid = _merge(tok, sid, hits, V)
 
-    return Vocabulary(base_size=base_size, rules=tuple(rules),
-                      n_series=corpus.n_series, initial_pair_slots=T,
-                      stop_threshold=threshold)
+    return (Vocabulary(base_size=base_size, rules=tuple(rules),
+                       n_series=corpus.n_series, initial_pair_slots=T,
+                       stop_threshold=threshold),
+            Corpus(tok, sid, corpus.n_series))
 
 
 def encode_corpus(corpus: Corpus, vocab: Vocabulary) -> Corpus:

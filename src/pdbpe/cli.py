@@ -18,8 +18,9 @@ import numpy as np
 
 from .core import (Dataset, MultivariateMode, PipelineConfig, Variation,
                    ingest_filter, parse_multivariate_mode, parse_variation)
-from .data_io import (attach_labels, read_config_file, read_data_csv,
-                      read_features_csv, read_labels_csv, write_features_csv)
+from .data_io import (attach_labels, csv_row, read_config_file,
+                      read_data_csv, read_features_csv, read_labels_csv,
+                      write_features_csv)
 from .errors import DataError, NumericError, UsageError
 from .evaluate import cross_validate, kfold_split
 from .features import anova_f_rank
@@ -295,7 +296,8 @@ def cmd_inspect(args) -> int:
                 for desc in shown:
                     for sid, sp in spans.get(desc.name, {}).items():
                         for lo, hi in sp:
-                            fh.write(f"{desc.name},{sid},{lo},{hi}\n")
+                            fh.write(csv_row([desc.name, sid, str(lo),
+                                              str(hi)]))
             print(f"wrote spans to {args.spans_out}")
     elif args.spans_out:
         raise UsageError("--spans-out needs --data to locate occurrences")
@@ -355,13 +357,7 @@ def cmd_evaluate(args) -> int:
         task = _detect_task([str(ts.label) for ts in labeled])
     if task != "regression" and args.knn_k < 1:
         raise UsageError(f"--knn-k must be at least 1, got {args.knn_k}")
-    group_ids = None
-    if args.group_aware:
-        missing = [ts.id for ts in labeled if ts.group_id is None]
-        if missing:
-            raise DataError(f"--group-aware needs a group_id for every series; "
-                            f"missing for {missing[:3]}")
-        group_ids = [ts.group_id for ts in labeled]
+    group_ids = [ts.group_id for ts in labeled] if args.group_aware else None
     plan = kfold_split(labeled.ids, args.folds, seed=args.seed,
                        group_ids=group_ids)
     result = cross_validate(

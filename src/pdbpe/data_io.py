@@ -11,13 +11,13 @@ each, and every block becomes coded columns (series code, channel code, t,
 value) without a list or dict per row. Two tokenizers split the blocks:
 
 - The fast one splits lines on "\n" and fields on ",". It runs on every
-  block with no '"', "\r" or NUL, no line longer than
-  csv.field_size_limit() and four fields on every non-blank line; on such
-  text csv.reader finds exactly the same fields.
+  block with no '"', NUL or "\r" other than in a "\r\n" line end, no line
+  longer than csv.field_size_limit() and four fields on every non-blank
+  line. On such text it finds csv.reader's fields, except that a "\r\n"
+  line end leaves its "\r" on the last field, which stripping removes.
 - From the first block that breaks any of these, that block and the rest of
   the file go through csv.reader, which parses quoted fields (also across
-  lines) and reports malformed text. Files with CRLF line ends take this
-  path throughout.
+  lines) and reports malformed text.
 
 Bad rows are found by whole-column checks and then reported as the first
 failing row in file order. Memory follows the number of rows and samples,
@@ -68,14 +68,15 @@ def _split_block(lines: list[str],
     start, when the fast split gives csv.reader's fields and four of them
     on every line; otherwise None."""
     text = "".join(lines)
-    if ('"' in text or "\r" in text or "\0" in text
+    if ('"' in text or text.count("\r") != text.count("\r\n") or "\0" in text
             or max(map(len, lines)) > csv.field_size_limit()):
         return None
     numbers: Sequence[int] = range(start + 1, start + len(lines) + 1)
-    if "\n" in lines:  # csv.reader gives no fields for a blank line
+    blank = ("\n", "\r\n")  # csv.reader gives no fields for these lines
+    if "\n" in lines or "\r\n" in lines:
         numbers = np.array([k for k, line in zip(numbers, lines)
-                            if line != "\n"], dtype=np.int64)
-        text = "".join(line for line in lines if line != "\n")
+                            if line not in blank], dtype=np.int64)
+        text = "".join(line for line in lines if line not in blank)
     if not text.endswith("\n"):
         text += "\n"
     # Every line end becomes a "\n" field of its own; the lines are 4
@@ -324,28 +325,32 @@ def attach_labels(dataset: Dataset, labels: dict[str, LabelRecord]) -> Dataset:
     return Dataset(series=tuple(series))
 
 
-class _Echo:
-    """A file whose write returns the text, so that a csv writer's
-    writerow returns the row it formats."""
+def csv_field(text: str) -> str:
+    """text as one field of a written CSV: quoted, with its quotes doubled,
+    when it holds ",", '"', "\n" or "\r". csv.writer quotes a "\r" only
+    from Python 3.13 on; this does on every version."""
+    if any(c in text for c in ',"\n\r'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
-    def write(self, text: str) -> str:
-        return text
+
+def csv_row(fields: Sequence[str]) -> str:
+    """One CSV record and its "\n" line end, as csv.writer writes it on
+    Python 3.13: a lone empty field is written "" so as not to be a blank
+    line."""
+    return (",".join(map(csv_field, fields)) or '""') + "\n"
 
 
 def write_features_csv(matrix: FeatureMatrix, path: str) -> None:
     """Write a feature matrix with 17-significant-digit values, formatting
     each row with one string."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["series_id", *matrix.names])
+        fh.write(csv_row(["series_id", *matrix.names]))
         if not matrix.names:
-            writer.writerows([sid] for sid in matrix.ids)
+            fh.writelines(csv_row([sid]) for sid in matrix.ids)
             return
-        # Each id as the writer quotes the first of several fields: the
-        # id, then "," and the line end of an empty second field.
-        quote = csv.writer(_Echo(), lineterminator="\n").writerow
         row = ",%.17g" * len(matrix.names) + "\n"
-        fh.writelines(quote([sid, ""])[:-2] + row % tuple(values)
+        fh.writelines(csv_field(sid) + row % tuple(values)
                       for sid, values in zip(matrix.ids, matrix.values.tolist()))
 
 

@@ -36,7 +36,8 @@ def kfold_split(ids: Sequence[str], k: int, seed: int = 0,
                 group_ids: Sequence[str] | None = None) -> CvPlan:
     """Deterministic k-fold assignment: shuffle units with the seeded RNG,
     then deal them round-robin. With group_ids, whole groups are dealt so no
-    group straddles folds; fold sizes differ by at most one unit."""
+    group straddles folds; fold sizes differ by at most one unit, and a
+    series whose group id is None or "" is a DataError."""
     ids = list(ids)
     if len(set(ids)) != len(ids):
         raise DataError("kfold_split: duplicate ids")
@@ -47,6 +48,8 @@ def kfold_split(ids: Sequence[str], k: int, seed: int = 0,
         units: list[str] = []
         members: dict[str, list[str]] = {}
         for sid, gid in zip(ids, group_ids):
+            if gid is None or gid == "":
+                raise DataError(f"kfold_split: series {sid!r} has no group id")
             gid = str(gid)
             if gid not in members:
                 members[gid] = []

@@ -170,9 +170,8 @@ def fit_pipeline(dataset: Dataset, config: PipelineConfig,
 
     vocabularies, encoded = {}, {}
     for key, corpus in _views(symbols, config, rcsm_medians):
-        vocabularies[key] = fit_bpe(corpus, config.base_size(key[1]),
-                                    P=config.P, U=config.U)
-        encoded[key] = encode_corpus(corpus, vocabularies[key])
+        vocabularies[key], encoded[key] = fit_bpe(
+            corpus, config.base_size(key[1]), P=config.P, U=config.U)
 
     schema = build_schema(mined, config.variations, vocabularies, n, config.P,
                           config.K)
@@ -256,7 +255,9 @@ def pattern_spans(model: FittedModel, dataset: Dataset,
     For each feature, each series gets the half-open [start, end) index
     ranges where the decoded base-symbol sequence matches the series'
     variation stream (non-overlapping, left to right), mapped back through
-    the view's source runs and the PAA window.
+    the view's source runs and the PAA window. These matches are not the
+    tokens the feature counts after encoding, where other rules may have
+    taken some of their symbols first.
     """
     dataset = _align_channels(dataset, model.channels)
     config = model.config

@@ -59,7 +59,7 @@ def test_criterion_02_stop_threshold_arithmetic(tmp_path):
     # stopping threshold max(N*P, T*U) = max(20, 49.9) reports as 49.9.
     rng = random.Random(41)
     corpus = [[rng.randrange(5) for _ in range(500)] for _ in range(100)]
-    vocab = fit_bpe(Corpus.from_sequences(corpus), 5)
+    vocab, _ = fit_bpe(Corpus.from_sequences(corpus), 5)
     assert vocab.n_series == 100
     assert vocab.initial_pair_slots == 49900
     assert f"{vocab.stop_threshold:.12g}" == "49.9"
@@ -83,8 +83,8 @@ def test_criterion_02_stop_threshold_arithmetic(tmp_path):
 def test_criterion_03_miner_matches_naive_reference():
     # 500 random corpora: the flat-array miner must agree with the
     # per-pair greedy reference rule for rule, and encoding each corpus with
-    # the mined vocabulary must give the reference's final corpus, across a
-    # spread of stopping parameters.
+    # the mined vocabulary must give the reference's final corpus, as must
+    # the corpus the miner returns, across a spread of stopping parameters.
     rng = random.Random(95014)
     t0 = time.perf_counter()
     for _ in range(500):
@@ -92,7 +92,7 @@ def test_criterion_03_miner_matches_naive_reference():
                                       alphabet=6)
         P = rng.choice([0.1, 0.2, 0.3, 0.5])
         U = rng.choice([0.0005, 0.001, 0.05, 0.2])
-        vocab = fit_bpe(Corpus.from_sequences(corpus), 6, P=P, U=U)
+        vocab, merged = fit_bpe(Corpus.from_sequences(corpus), 6, P=P, U=U)
         encoded = encode_corpus(Corpus.from_sequences(corpus),
                                 vocab).sequences()
         ref_rules, ref_corpus = naive_fit(corpus, 6, P=P, U=U)
@@ -100,6 +100,7 @@ def test_criterion_03_miner_matches_naive_reference():
                 r.train_series_support) for r in vocab.rules]
         assert got == ref_rules
         assert encoded == ref_corpus
+        assert merged.sequences() == ref_corpus
     assert time.perf_counter() - t0 < 30.0
 
 
@@ -111,7 +112,7 @@ def test_criterion_04_encode_decode_round_trip():
     for _ in range(25):
         corpus = random_symbol_corpus(rng, max_series=8, max_len=40,
                                       alphabet=5)
-        vocab = fit_bpe(Corpus.from_sequences(corpus), 5)
+        vocab, _ = fit_bpe(Corpus.from_sequences(corpus), 5)
         for _ in range(40):
             x = [rng.randrange(5) for _ in range(rng.randint(0, 60))]
             tokens = encode(x, vocab)

@@ -1,6 +1,7 @@
 """Command-line behavior: flows, logs, exit codes, determinism."""
 
 import copy
+import csv
 import json
 import subprocess
 import sys
@@ -145,6 +146,39 @@ def test_inspect_top_patterns_and_spans(tmp_path, capsys):
     assert int(first[2]) < int(first[3])
 
 
+def test_spans_csv_quotes_ids(tmp_path, capsys):
+    # Each id holds a character that must be quoted; every span row still
+    # reads back as 4 fields carrying the id.
+    rng = np.random.default_rng(3)
+    ids = ["s,0", 's"1', "s\n2", "s\r3", "s4", "s5"]
+    data, labels = tmp_path / "data.csv", tmp_path / "labels.csv"
+    with open(data, "w", newline="") as dfh, \
+            open(labels, "w", newline="") as lfh:
+        dfh.write("series_id,channel,t,value\n")
+        lfh.write("series_id,label\n")
+        for i, sid in enumerate(ids):
+            quoted = '"' + sid.replace('"', '""') + '"'
+            vals = rng.normal(size=48)
+            if i % 2 == 0:
+                vals[10:22] += 2.5
+            for t, v in enumerate(vals):
+                dfh.write(f"{quoted},hr,{t},{v:.6f}\n")
+            lfh.write(f"{quoted},{'a' if i % 2 == 0 else 'b'}\n")
+    model_path, feats_path = str(tmp_path / "m.json"), str(tmp_path / "f.csv")
+    spans_path = tmp_path / "spans.csv"
+    assert main(["discover", "--data", str(data), "--k", "4", "--w", "3",
+                 "--model-out", model_path, "--features-out", feats_path]) == 0
+    assert main(["inspect", "--model", model_path, "--features", feats_path,
+                 "--labels", str(labels), "--data", str(data), "--top", "1000",
+                 "--spans-out", str(spans_path)]) == 0
+    capsys.readouterr()
+    with open(spans_path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["feature", "series_id", "start", "end"]
+    assert all(len(row) == 4 for row in rows)
+    assert {row[1] for row in rows[1:]} == set(ids)
+
+
 def test_inspect_summary_only_and_usage_errors(tmp_path, capsys):
     data, labels = _write_motif_corpus(tmp_path)
     model_path = str(tmp_path / "m.json")
@@ -223,7 +257,19 @@ def test_evaluate_group_aware_requires_groups(tmp_path, capsys):
                  "--k", "4", "--w", "3", "--folds", "3", "--group-aware",
                  "--report-out", str(tmp_path / "r.txt")])
     assert code == 2
-    assert "group" in capsys.readouterr().err
+    assert "series 's0' has no group id" in capsys.readouterr().err
+    # One blank group id among the others is named the same way.
+    with open(labels, "w") as fh:
+        fh.write("series_id,label,group_id\n")
+        for i in range(12):
+            group = "" if i == 7 else f"g{i // 2}"
+            fh.write(f"s{i},{'a' if i % 2 else 'b'},{group}\n")
+    code = main(["evaluate", "--data", data, "--labels", str(labels),
+                 "--k", "4", "--w", "3", "--folds", "3", "--group-aware",
+                 "--report-out", str(tmp_path / "r.txt")])
+    assert code == 2
+    assert "series 's7' has no group id" in capsys.readouterr().err
+    assert not (tmp_path / "r.txt").exists()
 
 
 def test_evaluate_grid_reports_per_fold_choice(tmp_path, capsys):

@@ -53,6 +53,12 @@ def test_kfold_validation_errors():
         kfold_split(["a", "b", "c"], 4)
     with pytest.raises(DataError):
         kfold_split(["a", "b"], 2, group_ids=["g"])
+    # A missing group id is not a group of its own: it would pool every
+    # series that lacks one, and a real group named "None" with them.
+    for missing in (None, ""):
+        with pytest.raises(DataError, match="series 'b' has no group id"):
+            kfold_split(["a", "b", "c", "d"], 2,
+                        group_ids=["None", missing, missing, "h"])
 
 
 # ---------------------------------------------------------------------------

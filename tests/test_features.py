@@ -28,7 +28,7 @@ def test_feature_names():
 
 def _tiny_vocab():
     return fit_bpe(Corpus.from_sequences([[0, 1, 0, 1, 0, 1]]), base_size=2,
-                   P=0.2, U=0.4)
+                   P=0.2, U=0.4)[0]
 
 
 def test_build_schema_base_then_supported_patterns():
@@ -46,8 +46,8 @@ def test_build_schema_base_then_supported_patterns():
 def test_build_schema_support_filter_is_inclusive():
     corpus = [[0, 1, 0, 1], [0, 1, 0, 1], [2, 2, 2, 2], [2, 2, 2, 2],
               [2, 2, 2, 2]]
-    vocab = fit_bpe(Corpus.from_sequences(corpus), base_size=3, P=0.2,
-                    U=0.001)
+    vocab, _ = fit_bpe(Corpus.from_sequences(corpus), base_size=3, P=0.2,
+                       U=0.001)
     by_pair = {(r.left, r.right): r for r in vocab.rules}
     assert by_pair[(0, 1)].train_series_support == 2
     # min support = 5 * 0.4 = 2.0; support of exactly 2 must be emitted.

@@ -43,6 +43,22 @@ def test_transform_reproduces_training_matrix_exactly():
     assert np.array_equal(again.values, matrix.values)
 
 
+def test_fit_takes_the_training_encoding_from_the_miner(monkeypatch):
+    # Fit counts features on the corpus each miner returns; only transform
+    # encodes, and it must land on the same matrix.
+    ds = _small_dataset(seed=6, channels=2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fit_pipeline re-encoded a training view")
+
+    with monkeypatch.context() as patched:
+        patched.setattr("pdbpe.pipeline.encode_corpus", refuse)
+        model, matrix = fit_pipeline(ds, CFG)
+    assert model.pattern_counts()[0] > 0
+    again = transform_dataset(model, ds)
+    assert np.array_equal(again.values, matrix.values)
+
+
 def test_fit_is_deterministic():
     ds = _small_dataset(seed=2)
     model_a, mat_a = fit_pipeline(ds, CFG)

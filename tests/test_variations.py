@@ -224,8 +224,7 @@ def test_flat_views_match_per_series_reference():
                                            for w in want], (trial, variation)
                 assert local == [x for w in want for x in w], trial
                 base = 2 * K - 1
-                vocab = fit_bpe(got, base, P=0.0, U=0.01)
-                encoded = encode_corpus(got, vocab)
+                vocab, encoded = fit_bpe(got, base, P=0.0, U=0.01)
                 columns = list(range(vocab.size + 1))
                 rows = _count_matrix(encoded, columns)
                 for row, seq in zip(rows, got.sequences()):
