@@ -291,7 +291,7 @@ def cmd_inspect(args) -> int:
             print(f"  spans {desc.name}: {total} occurrences in "
                   f"{len(per_series)} series")
         if args.spans_out:
-            with open(args.spans_out, "w", encoding="utf-8") as fh:
+            with open(args.spans_out, "w", encoding="utf-8", newline="") as fh:
                 fh.write("feature,series_id,start,end\n")
                 for desc in shown:
                     for sid, sp in spans.get(desc.name, {}).items():

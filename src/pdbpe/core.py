@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -50,6 +50,15 @@ def parse_multivariate_mode(name: str) -> MultivariateMode:
         if mode.value == key:
             return mode
     raise DataError(f"unknown multivariate mode {name!r}")
+
+
+def require_group_ids(names: Iterable[str], group_ids: Iterable[str | None],
+                      need: str) -> None:
+    """Raise a DataError naming the first of names whose group id is None
+    or "", followed by need (why one is needed)."""
+    for name, gid in zip(names, group_ids):
+        if gid is None or gid == "":
+            raise DataError(f"{name} has no group id; {need}")
 
 
 @dataclass(frozen=True)

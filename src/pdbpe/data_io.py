@@ -11,13 +11,13 @@ each, and every block becomes coded columns (series code, channel code, t,
 value) without a list or dict per row. Two tokenizers split the blocks:
 
 - The fast one splits lines on "\n" and fields on ",". It runs on every
-  block with no '"', NUL or "\r" other than in a "\r\n" line end, no line
-  longer than csv.field_size_limit() and four fields on every non-blank
-  line. On such text it finds csv.reader's fields, except that a "\r\n"
-  line end leaves its "\r" on the last field, which stripping removes.
+  block with no '"', "\r" or NUL, no line longer than
+  csv.field_size_limit() and four fields on every non-blank line; on such
+  text csv.reader finds exactly the same fields.
 - From the first block that breaks any of these, that block and the rest of
   the file go through csv.reader, which parses quoted fields (also across
-  lines) and reports malformed text.
+  lines) and reports malformed text. Files with CRLF line ends take this
+  path throughout.
 
 Bad rows are found by whole-column checks and then reported as the first
 failing row in file order. Memory follows the number of rows and samples,
@@ -68,15 +68,14 @@ def _split_block(lines: list[str],
     start, when the fast split gives csv.reader's fields and four of them
     on every line; otherwise None."""
     text = "".join(lines)
-    if ('"' in text or text.count("\r") != text.count("\r\n") or "\0" in text
+    if ('"' in text or "\r" in text or "\0" in text
             or max(map(len, lines)) > csv.field_size_limit()):
         return None
     numbers: Sequence[int] = range(start + 1, start + len(lines) + 1)
-    blank = ("\n", "\r\n")  # csv.reader gives no fields for these lines
-    if "\n" in lines or "\r\n" in lines:
+    if "\n" in lines:  # csv.reader gives no fields for a blank line
         numbers = np.array([k for k, line in zip(numbers, lines)
-                            if line not in blank], dtype=np.int64)
-        text = "".join(line for line in lines if line not in blank)
+                            if line != "\n"], dtype=np.int64)
+        text = "".join(line for line in lines if line != "\n")
     if not text.endswith("\n"):
         text += "\n"
     # Every line end becomes a "\n" field of its own; the lines are 4

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Dataset, PipelineConfig
+from .core import Dataset, PipelineConfig, require_group_ids
 from .errors import DataError, NumericError, UsageError
 from .model_io import fingerprint_model
 from .pipeline import fit_pipeline, transform_dataset
@@ -47,9 +47,9 @@ def kfold_split(ids: Sequence[str], k: int, seed: int = 0,
             raise DataError("kfold_split: group_ids length mismatch")
         units: list[str] = []
         members: dict[str, list[str]] = {}
+        require_group_ids((f"series {sid!r}" for sid in ids), group_ids,
+                          "group-aware folds require one per series")
         for sid, gid in zip(ids, group_ids):
-            if gid is None or gid == "":
-                raise DataError(f"kfold_split: series {sid!r} has no group id")
             gid = str(gid)
             if gid not in members:
                 members[gid] = []

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Variation
+from .core import Variation, require_group_ids
 from .errors import DataError
 from .bpe import Corpus, Vocabulary
 
@@ -190,11 +190,10 @@ def centroid_augment(values: np.ndarray, group_ids: Sequence[str | None]) -> np.
     values = np.asarray(values, dtype=np.float64)
     if len(group_ids) != values.shape[0]:
         raise DataError("group_ids length does not match row count")
+    require_group_ids((f"row {i}" for i in range(len(group_ids))), group_ids,
+                      "centroid augmentation requires one per row")
     rows_by_group: dict[str, list[int]] = {}
     for i, gid in enumerate(group_ids):
-        if gid is None or gid == "":
-            raise DataError(f"row {i} has no group id; centroid augmentation "
-                            "requires one per row")
         rows_by_group.setdefault(str(gid), []).append(i)
     centroids = np.empty_like(values)
     for rows in rows_by_group.values():

@@ -15,7 +15,7 @@ from typing import Iterator
 import numpy as np
 
 from .core import (Dataset, MultivariateMode, PipelineConfig, TimeSeries,
-                   Variation)
+                   Variation, require_group_ids)
 from .discretize import Discretizer, apply_discretizer, fit_discretizer
 from .errors import DataError, NumericError
 from .features import (CENTROID_PREFIX, FeatureDescriptor, FeatureMatrix,
@@ -135,10 +135,9 @@ def _align_channels(dataset: Dataset, channels: tuple[str, ...]) -> Dataset:
 
 def _require_group_ids(dataset: Dataset) -> None:
     """Centroid augmentation needs a group id on every series."""
-    for ts in dataset:
-        if ts.group_id is None or ts.group_id == "":
-            raise DataError(f"series {ts.id!r} has no group id; centroid "
-                            "augmentation requires one per series")
+    require_group_ids((f"series {ts.id!r}" for ts in dataset),
+                      (ts.group_id for ts in dataset),
+                      "centroid augmentation requires one per series")
 
 
 def fit_pipeline(dataset: Dataset, config: PipelineConfig,

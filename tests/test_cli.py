@@ -257,7 +257,8 @@ def test_evaluate_group_aware_requires_groups(tmp_path, capsys):
                  "--k", "4", "--w", "3", "--folds", "3", "--group-aware",
                  "--report-out", str(tmp_path / "r.txt")])
     assert code == 2
-    assert "series 's0' has no group id" in capsys.readouterr().err
+    assert ("series 's0' has no group id; group-aware folds require one"
+            in capsys.readouterr().err)
     # One blank group id among the others is named the same way.
     with open(labels, "w") as fh:
         fh.write("series_id,label,group_id\n")

@@ -276,31 +276,6 @@ def test_duplicate_in_a_later_block_comes_before_later_errors(tmp_path,
         read_data_csv(path)
 
 
-def test_crlf_blocks_take_the_fast_split(tmp_path, monkeypatch):
-    rows = [f" s{i // 10} ,hr,{i % 10}, {i / 7!r}" for i in range(60)]
-    rows[25:25] = ["", ""]
-    path = _write(tmp_path / "d.csv", "series_id,channel,t,value\r\n"
-                  + "\r\n".join(rows))
-    splits = []
-
-    def spy(lines, start):
-        splits.append(split_block(lines, start))
-        return splits[-1]
-
-    split_block = data_io._split_block
-    monkeypatch.setattr(data_io, "_split_block", spy)
-    monkeypatch.setattr(data_io, "BLOCK_CHARS", 64)
-    got = _outcome(read_data_csv, path)
-    assert len(splits) > 10 and None not in splits
-    assert got == _outcome(naive_csv.read_data_csv, path)
-    assert [ts.length for ts in read_data_csv(path)] == [10] * 6
-    # A lone "\r" ends a line for csv.reader only, so its block goes there.
-    assert split_block(["a,hr,0,1\r", "a,hr,1,2\r\n"], 1) is None
-    numbers, fields = split_block(["a,hr,0,1\r\n", "\r\n", "a,hr,1,2\n"], 1)
-    assert numbers.tolist() == [2, 4]
-    assert fields == ["a", "hr", "0", "1\r", "a", "hr", "1", "2"]
-
-
 @pytest.mark.parametrize("n_cols", [0, 2])
 def test_feature_csv_quotes_carriage_returns(tmp_path, n_cols):
     ids = ("a\rb", "a\r\nb", "\r", "plain")

@@ -151,8 +151,9 @@ def test_centroid_augment_group_means():
     assert np.allclose(out[1, 2:], [2.0, 1.0])
     assert np.allclose(out[2, 2:], [5.0, 4.0])
     assert np.array_equal(out[:, :2], values)
-    with pytest.raises(DataError):
-        centroid_augment(values, ["g1", None, "g2"])
+    for missing in (None, ""):
+        with pytest.raises(DataError, match="row 1 has no group id"):
+            centroid_augment(values, ["g1", missing, "g2"])
 
 
 def test_anova_matches_scipy():
