@@ -124,13 +124,11 @@ def _add_config_flags(sub, with_kw: bool = True) -> None:
                      help="per_channel or whiten_collapse")
 
 
-def _read_dataset(args, require_labels: bool = False) -> Dataset:
+def _read_dataset(args) -> Dataset:
     dataset = read_data_csv(args.data)
     labels_path = getattr(args, "labels", None)
     if labels_path:
         dataset = attach_labels(dataset, read_labels_csv(labels_path))
-    elif require_labels:
-        raise UsageError("--labels is required")
     min_observed = getattr(args, "min_observed", 0) or 0
     before = len(dataset)
     if min_observed > 0:
@@ -329,8 +327,6 @@ def _parse_grid(raw: str | None, flag: str) -> list[int] | None:
 def cmd_evaluate(args) -> int:
     k_grid = _parse_grid(args.k_grid, "--k-grid")
     w_grid = _parse_grid(args.w_grid, "--w-grid")
-    if args.folds < 2:
-        raise UsageError(f"--folds must be at least 2, got {args.folds}")
     fields = _config_fields(args)
     if k_grid is None:
         if "K" not in fields:
@@ -340,14 +336,11 @@ def cmd_evaluate(args) -> int:
         if "W" not in fields:
             raise UsageError("provide --w, --w-grid, or W in a config file")
         w_grid = [fields["W"]]
-    if len(k_grid) * len(w_grid) > 1 and args.inner_folds < 2:
-        raise UsageError(f"--inner-folds must be at least 2 for a grid, "
-                         f"got {args.inner_folds}")
     fields["K"] = k_grid[0]
     fields["W"] = w_grid[0]
     base_config = PipelineConfig(**fields)
 
-    dataset = _read_dataset(args, require_labels=True)
+    dataset = _read_dataset(args)
     labeled = Dataset(tuple(ts for ts in dataset if ts.label is not None))
     dropped = len(dataset) - len(labeled)
     if len(labeled) == 0:
@@ -355,8 +348,6 @@ def cmd_evaluate(args) -> int:
     task = args.task
     if task == "auto":
         task = _detect_task([str(ts.label) for ts in labeled])
-    if task != "regression" and args.knn_k < 1:
-        raise UsageError(f"--knn-k must be at least 1, got {args.knn_k}")
     group_ids = [ts.group_id for ts in labeled] if args.group_aware else None
     plan = kfold_split(labeled.ids, args.folds, seed=args.seed,
                        group_ids=group_ids)

@@ -76,16 +76,13 @@ def fit_discretizer(values, K: int, iqr_multiplier: float = 1.5) -> Discretizer:
                        edges=edges)
 
 
-def apply_discretizer(values, disc: Discretizer):
+def apply_discretizer(values, disc: Discretizer) -> np.ndarray:
     """Map values to bin symbols: clamp(floor((v - edges[0]) / width), 0, K-1).
 
-    Accepts a scalar or an array; the output matches the input shape.
+    Accepts a scalar or an array; the int64 output has the input's shape.
     Values outside the fitted range land in the extreme bins, so the map
     is total.
     """
     arr = np.asarray(values, dtype=np.float64)
     raw = np.floor((arr - disc.edges[0]) / disc.width)
-    symbols = np.clip(raw, 0, disc.K - 1).astype(np.int64)
-    if np.ndim(values) == 0:
-        return int(symbols)
-    return symbols
+    return np.clip(raw, 0, disc.K - 1).astype(np.int64)

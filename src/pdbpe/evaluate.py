@@ -37,7 +37,11 @@ def kfold_split(ids: Sequence[str], k: int, seed: int = 0,
     """Deterministic k-fold assignment: shuffle units with the seeded RNG,
     then deal them round-robin. With group_ids, whole groups are dealt so no
     group straddles folds; fold sizes differ by at most one unit, and a
-    series whose group id is None or "" is a DataError."""
+    series whose group id is None or "" is a DataError. k < 2 is a
+    UsageError."""
+    if k < 2:
+        raise UsageError(f"k-fold cross-validation needs at least 2 folds, "
+                         f"got {k}")
     ids = list(ids)
     if len(set(ids)) != len(ids):
         raise DataError("kfold_split: duplicate ids")
@@ -45,24 +49,15 @@ def kfold_split(ids: Sequence[str], k: int, seed: int = 0,
     if group_aware:
         if len(group_ids) != len(ids):
             raise DataError("kfold_split: group_ids length mismatch")
-        units: list[str] = []
-        members: dict[str, list[str]] = {}
         require_group_ids((f"series {sid!r}" for sid in ids), group_ids,
                           "group-aware folds require one per series")
-        for sid, gid in zip(ids, group_ids):
-            gid = str(gid)
-            if gid not in members:
-                members[gid] = []
-                units.append(gid)
-            members[gid].append(sid)
-    else:
-        units = ids
-        members = {sid: [sid] for sid in ids}
-    if k < 2:
-        raise DataError(f"kfold_split: k must be >= 2, got {k}")
-    if k > len(units):
-        raise DataError(f"kfold_split: k={k} exceeds {len(units)} assignable units")
-    shuffled = list(units)
+    # Without groups each series is a unit of its own.
+    members: dict[str, list[str]] = {}
+    for sid, key in zip(ids, group_ids if group_aware else ids):
+        members.setdefault(str(key), []).append(sid)
+    if k > len(members):
+        raise DataError(f"kfold_split: k={k} exceeds {len(members)} assignable units")
+    shuffled = list(members)
     random.Random(seed).shuffle(shuffled)
     assignment: dict[str, int] = {}
     for i, unit in enumerate(shuffled):
@@ -281,7 +276,8 @@ def cross_validate(dataset: Dataset, config: PipelineConfig, plan: CvPlan,
     """Refit the pipeline per fold and score held-out series.
 
     task is "regression" (ridge, rmse) or "classification" (k-NN, accuracy
-    or auc); another task, or a metric the task cannot use, is a UsageError.
+    or auc); another task, a metric the task cannot use, or a knn_k below 1
+    for classification is a UsageError.
     The fitted state per fold depends only on that fold's training rows;
     fingerprints of the fitted models are recorded so tests can verify the
     separation.
@@ -289,8 +285,9 @@ def cross_validate(dataset: Dataset, config: PipelineConfig, plan: CvPlan,
     k_grid and w_grid default to config's K and W. When they hold more than
     one (K, W) point, each fold picks its config by grid_search on an inner
     plan over its training rows: inner_folds folds, seed plan.seed + 101 +
-    fold, grouped by each series' group_id when plan is group-aware. Each
-    FoldResult.config records the config the fold was fitted with.
+    fold, grouped by each series' group_id when plan is group-aware; an
+    inner_folds below 2 is then a UsageError, raised before any fold is fitted.
+    Each FoldResult.config records the config the fold was fitted with.
     """
     if task not in ("regression", "classification"):
         raise UsageError(f"unknown task {task!r}")
@@ -306,6 +303,11 @@ def cross_validate(dataset: Dataset, config: PipelineConfig, plan: CvPlan,
     k_grid = list(k_grid or [config.K])
     w_grid = list(w_grid or [config.W])
     nested = len(set(k_grid)) > 1 or len(set(w_grid)) > 1
+    if nested and inner_folds < 2:
+        raise UsageError(f"a grid of more than one (K, W) point needs "
+                         f"inner_folds of at least 2, got {inner_folds}")
+    if task == "classification" and knn_k < 1:
+        raise UsageError(f"k-NN needs knn_k of at least 1, got {knn_k}")
     if not nested:
         config = replace(config, K=k_grid[0], W=w_grid[0])
     folds: list[FoldResult] = []

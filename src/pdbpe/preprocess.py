@@ -1,8 +1,8 @@
-"""Per-series numeric preprocessing: normalization, whitening, aggregation."""
+"""Per-series numeric preprocessing: z-normalization of one channel, whitening
+of a multichannel series against its own covariance and its collapse to the
+per-row norm, and piecewise aggregation."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,7 +14,7 @@ _STD_FLOOR = 1e-12
 _COV_RIDGE = 1e-8
 
 
-def zscore_normalize(values, mask=None) -> np.ndarray:
+def zscore_normalize(values, mask) -> np.ndarray:
     """Normalize a 1-D sequence to zero mean and unit population std.
 
     Statistics are computed over observed (mask True) entries only; masked
@@ -26,10 +26,7 @@ def zscore_normalize(values, mask=None) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
         raise ValueError("zscore_normalize expects a 1-D sequence")
-    if mask is None:
-        mask = np.ones(values.shape, dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool)
+    mask = np.asarray(mask, dtype=bool)
     observed = values[mask]
     if observed.size == 0:
         return np.zeros_like(values)
@@ -47,33 +44,22 @@ def zscore_normalize(values, mask=None) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class WhiteningStats:
-    """Per-series whitening parameters: channel means and the lower-triangular
-    Cholesky factor L of the (possibly ridge-regularized) covariance."""
+def whiten(values, mask) -> np.ndarray:
+    """Decorrelate the rows of a (length x channels) matrix against its own
+    observed statistics.
 
-    mean: np.ndarray
-    cholesky_factor: np.ndarray
-
-
-def fit_whitening(values, mask=None) -> WhiteningStats:
-    """Estimate whitening statistics from one series' observed entries.
-
-    Channel means come from each channel's observed entries. The population
-    covariance is taken over deviations with unobserved entries zeroed (i.e.
-    filled at the channel mean). If the covariance is not positive definite
-    as-is, a ridge of 1e-8 * trace/d is added to the diagonal; if it still
-    fails, or values are too large for a finite covariance, the fit is a
-    hard error.
+    Channel means come from each channel's observed entries. Deviations from
+    them, with unobserved entries held at 0 (the channel mean), give the
+    population covariance, whose lower-triangular Cholesky factor L maps each
+    deviation row d to the solution z of L z = d; the rows of z then have
+    (near-)identity sample covariance. If the covariance is not positive
+    definite as-is, a ridge of 1e-8 * trace/d is added to the diagonal; if it
+    still fails, or values are too large for a finite covariance, whitening
+    is a NumericError.
     """
     values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2:
-        raise ValueError("fit_whitening expects a (length x channels) matrix")
+    mask = np.asarray(mask, dtype=bool)
     n, d = values.shape
-    if mask is None:
-        mask = np.ones(values.shape, dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool)
     mean = np.zeros(d)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(d):
@@ -96,34 +82,16 @@ def fit_whitening(values, mask=None) -> WhiteningStats:
                 "covariance is not positive definite even after ridge "
                 f"regularization (trace={np.trace(cov):.6g}, d={d}); "
                 "the series is degenerate") from None
-    return WhiteningStats(mean=mean, cholesky_factor=factor)
-
-
-def whiten_multivariate(values, stats: WhiteningStats) -> np.ndarray:
-    """Decorrelate rows of a (length x channels) matrix.
-
-    Each row x is mapped to the solution of L z = (x - mean), where L is the
-    lower-triangular factor from fit_whitening; the output rows then have
-    (near-)identity sample covariance.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    dev = values - stats.mean
-    return np.linalg.solve(stats.cholesky_factor, dev.T).T
-
-
-def l2_collapse(whitened) -> np.ndarray:
-    """Collapse a (length x channels) matrix to the per-row Euclidean norm."""
-    whitened = np.asarray(whitened, dtype=np.float64)
-    return np.sqrt((whitened * whitened).sum(axis=1))
+    return np.linalg.solve(factor, dev.T).T
 
 
 def collapse_series(values, mask) -> np.ndarray:
     """Whiten a multichannel series against its own statistics and collapse
-    it to a 1-D magnitude stream. Unobserved entries are held at the channel
-    mean, so they contribute nothing to the whitened deviation."""
-    stats = fit_whitening(values, mask)
-    filled = np.where(np.asarray(mask, dtype=bool), values, stats.mean)
-    return l2_collapse(whiten_multivariate(filled, stats))
+    it to a 1-D magnitude stream, the Euclidean norm of each whitened row.
+    Unobserved entries sit at the channel mean, so they contribute nothing
+    to the whitened deviation."""
+    z = whiten(values, mask)
+    return np.sqrt((z * z).sum(axis=1))
 
 
 def paa(values, W: int) -> np.ndarray:
@@ -138,10 +106,6 @@ def paa(values, W: int) -> np.ndarray:
     if W < 1:
         raise ValueError("W must be >= 1")
     n = values.size
-    if n == 0:
-        return values.copy()
-    if W == 1:
-        return values.copy()
     starts = np.arange(0, n, W)
     sums = np.add.reduceat(values, starts)
     sizes = np.minimum(starts + W, n) - starts

@@ -389,8 +389,10 @@ def test_evaluate_bad_flag_values_are_usage_errors(tmp_path, capsys, flags):
 
 @pytest.mark.parametrize("task_flags,flags", [
     ([], ["--knn-k", "0"]), (["--task", "regression"], ["--knn-k", "0"]),
-    ([], ["--inner-folds", "1"])],
-    ids=["auto-knn-k", "regression-knn-k", "single-point-inner-folds"])
+    ([], ["--inner-folds", "1"]),
+    ([], ["--k-grid", "4,4", "--inner-folds", "1"])],
+    ids=["auto-knn-k", "regression-knn-k", "single-point-inner-folds",
+         "repeated-point-inner-folds"])
 def test_evaluate_ignores_flags_the_run_does_not_use(tmp_path, capsys,
                                                      task_flags, flags):
     # Ridge regression has no k-NN; one (K, W) point has no inner split.

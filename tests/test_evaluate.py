@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pdbpe import (DataError, Dataset, NumericError, PipelineConfig,
-                   TimeSeries, cross_validate)
+                   TimeSeries, UsageError, cross_validate)
 from pdbpe.evaluate import (accuracy, auc_roc, grid_search, kfold_split,
                             knn_predict, ridge_fit, ridge_predict, rmse,
                             score_split)
@@ -239,6 +239,28 @@ def test_cross_validate_validates_inputs():
                        task="regression", metric="accuracy")
     with pytest.raises(DataError):
         cross_validate(ds, PipelineConfig(K=4, W=4), plan, task="regression")
+
+
+def test_cross_validate_flag_rules_fail_before_any_fit(monkeypatch):
+    # A knn_k below 1 for k-NN, or an inner split of one fold for a grid of
+    # more than one distinct point, is a UsageError raised before the first
+    # fold is fitted.
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_pipeline was called")
+
+    monkeypatch.setattr("pdbpe.evaluate.fit_pipeline", no_fit)
+    ds = _labeled_dataset(seed=22)
+    plan = kfold_split(ds.ids, 4, seed=0)
+    config = PipelineConfig(K=4, W=4)
+    for metric in ("accuracy", "auc"):
+        with pytest.raises(UsageError, match="knn_k"):
+            cross_validate(ds, config, plan, task="classification",
+                           metric=metric, knn_k=0)
+    with pytest.raises(UsageError, match="inner_folds"):
+        cross_validate(ds, config, plan, task="classification",
+                       k_grid=[3, 4], inner_folds=1)
+    with pytest.raises(UsageError, match="at least 2 folds, got 1"):
+        kfold_split(ds.ids, 1)
 
 
 @pytest.mark.parametrize("grouped", [False, True])

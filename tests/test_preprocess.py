@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from pdbpe import NumericError
-from pdbpe.preprocess import (WhiteningStats, collapse_series, fit_whitening,
-                              l2_collapse, paa, whiten_multivariate,
-                              zscore_normalize)
+from pdbpe.preprocess import collapse_series, paa, whiten, zscore_normalize
+
+
+def _all_observed(x):
+    return np.ones(np.shape(x), dtype=bool)
 
 
 def test_zscore_population_convention():
     x = np.array([1.0, 2.0, 3.0, 4.0])
-    z = zscore_normalize(x)
+    z = zscore_normalize(x, _all_observed(x))
     assert abs(z.mean()) < 1e-12
     # Population std (divide by n), not the sample convention.
     assert abs(z.std() - 1.0) < 1e-12
@@ -20,7 +22,8 @@ def test_zscore_population_convention():
 
 
 def test_zscore_constant_series_is_zeros():
-    assert np.array_equal(zscore_normalize(np.full(5, 3.7)), np.zeros(5))
+    x = np.full(5, 3.7)
+    assert np.array_equal(zscore_normalize(x, _all_observed(x)), np.zeros(5))
 
 
 def test_zscore_masked_entries():
@@ -42,7 +45,7 @@ def test_zscore_randomized_properties():
     for _ in range(50):
         n = rng.integers(2, 200)
         x = rng.normal(rng.uniform(-5, 5), rng.uniform(0.1, 10), size=n)
-        z = zscore_normalize(x)
+        z = zscore_normalize(x, _all_observed(x))
         assert abs(z.mean()) < 1e-9
         assert abs(z.std() - 1.0) < 1e-9
 
@@ -53,7 +56,7 @@ def test_zscore_randomized_properties():
 ])
 def test_zscore_values_too_large_are_numeric_error(values):
     with pytest.raises(NumericError, match="too large to normalize"):
-        zscore_normalize(values)
+        zscore_normalize(values, _all_observed(values))
 
 
 def test_paa_exact_windows():
@@ -75,6 +78,11 @@ def test_paa_window_one_is_identity():
 
 def test_paa_window_longer_than_series():
     assert np.allclose(paa(np.array([2.0, 4.0]), 10), [3.0])
+
+
+def test_paa_empty_series_is_empty():
+    out = paa(np.zeros(0), 4)
+    assert out.dtype == np.float64 and out.size == 0
 
 
 def test_paa_segment_count_property():
@@ -101,8 +109,7 @@ def test_whitening_identity_for_uncorrelated_unit_data():
     cov = raw.T @ raw / raw.shape[0]
     chol = np.linalg.cholesky(cov)
     x = np.linalg.solve(chol, raw.T).T  # exactly identity covariance now
-    stats = fit_whitening(x)
-    out = whiten_multivariate(x, stats)
+    out = whiten(x, _all_observed(x))
     assert np.allclose(out, x - x.mean(axis=0), atol=1e-9)
 
 
@@ -111,32 +118,38 @@ def test_whitening_produces_identity_covariance():
     base = rng.normal(size=(400, 3))
     mix = np.array([[2.0, 0.3, 0.0], [0.5, 1.5, 0.2], [0.1, 0.4, 3.0]])
     x = base @ mix.T + np.array([1.0, -2.0, 0.5])
-    stats = fit_whitening(x)
-    out = whiten_multivariate(x, stats)
+    out = whiten(x, _all_observed(x))
     cov = out.T @ out / out.shape[0]
     assert np.allclose(cov, np.eye(3), atol=1e-6)
 
 
 def test_whitening_ridge_rescues_rank_deficiency():
-    # Two perfectly correlated channels: plain Cholesky fails, the ridge
-    # retry succeeds.
+    # A constant channel makes the covariance singular: plain Cholesky fails
+    # on its zero pivot, the ridge retry succeeds. (Two proportional
+    # channels are not enough; rounding leaves their covariance positive
+    # definite.)
     t = np.linspace(0, 1, 64)
-    x = np.column_stack([t, 2.0 * t])
-    stats = fit_whitening(x)
-    assert np.all(np.isfinite(stats.cholesky_factor))
+    x = np.column_stack([t, np.full(64, 3.0)])
+    dev = x - x.mean(axis=0)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(dev.T @ dev / len(x))
+    z = whiten(x, _all_observed(x))
+    assert np.all(np.isfinite(z))
+    assert np.array_equal(z[:, 1], np.zeros(64))
 
 
 def test_whitening_degenerate_all_zero_is_numeric_error():
     with pytest.raises(NumericError):
-        fit_whitening(np.zeros((8, 2)))
+        x = np.zeros((8, 2))
+        whiten(x, _all_observed(x))
 
 
 def test_whitening_values_too_large_are_numeric_error():
     x = np.array([[1e200, 1.0], [-1e200, 2.0], [3e200, 0.0]])
     with pytest.raises(NumericError, match="too large to whiten"):
-        fit_whitening(x)
+        whiten(x, _all_observed(x))
     with pytest.raises(NumericError, match="too large to whiten"):
-        collapse_series(x, np.ones_like(x, dtype=bool))
+        collapse_series(x, _all_observed(x))
 
 
 def test_whitening_respects_mask():
@@ -146,16 +159,28 @@ def test_whitening_respects_mask():
     x_bad[10, 0] = 1e6
     mask = np.ones_like(x, dtype=bool)
     mask[10, 0] = False
-    stats_clean = fit_whitening(x)
-    stats_masked = fit_whitening(x_bad, mask)
-    # The outlier is unobserved, so the channel mean must not blow up.
-    assert abs(stats_masked.mean[0]) < 1.0
-    assert np.allclose(stats_masked.mean[1], stats_clean.mean[1], atol=0.1)
+    clean = whiten(x, _all_observed(x))
+    masked = whiten(x_bad, mask)
+    # The outlier is unobserved, so it neither drags the channel mean nor
+    # inflates the covariance: the whitened rows stay close to the clean ones
+    # and the unobserved entry's own deviation is zero.
+    assert np.all(np.isfinite(masked))
+    assert np.abs(masked).max() < 10.0
+    assert np.allclose(np.delete(masked, 10, axis=0),
+                       np.delete(clean, 10, axis=0), atol=0.2)
+    assert masked[10, 0] == 0.0
 
 
-def test_l2_collapse_is_row_norm():
-    x = np.array([[3.0, 4.0], [0.0, 0.0], [1.0, 1.0]])
-    assert np.allclose(l2_collapse(x), [5.0, 0.0, np.sqrt(2.0)])
+def test_collapse_series_is_row_norm_of_whitened_series():
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(50, 3)) @ np.array([[1.0, 0.5, 0.0],
+                                             [0.0, 2.0, 0.3],
+                                             [0.2, 0.0, 0.7]])
+    mask = rng.random(x.shape) > 0.1
+    x = np.where(mask, x, 0.0)
+    z = whiten(x, mask)
+    expected = np.array([np.hypot.reduce(row) for row in z])
+    assert np.allclose(collapse_series(x, mask), expected, rtol=1e-12)
 
 
 def test_collapse_series_masked_entries_contribute_nothing():
@@ -167,10 +192,3 @@ def test_collapse_series_masked_entries_contribute_nothing():
     # A fully unobserved row sits at the channel means: zero deviation.
     assert out[5] == 0.0
     assert out.shape == (60,)
-
-
-def test_whiten_multivariate_uses_given_stats():
-    stats = WhiteningStats(mean=np.array([1.0, 2.0]),
-                           cholesky_factor=np.eye(2) * 2.0)
-    out = whiten_multivariate(np.array([[3.0, 4.0]]), stats)
-    assert np.allclose(out, [[1.0, 1.0]])
