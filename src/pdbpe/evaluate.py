@@ -8,6 +8,7 @@ discretization, vocabulary, or pruning state leaks across the split.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -44,11 +45,13 @@ def kfold_split(ids: Sequence[str], k: int, seed: int = 0,
                          f"got {k}")
     ids = list(ids)
     if len(set(ids)) != len(ids):
-        raise DataError("kfold_split: duplicate ids")
+        dup = next(sid for sid, n in Counter(ids).items() if n > 1)
+        raise DataError(f"series id {dup!r} appears more than once")
     group_aware = group_ids is not None
     if group_aware:
         if len(group_ids) != len(ids):
-            raise DataError("kfold_split: group_ids length mismatch")
+            raise DataError(f"got {len(group_ids)} group ids for "
+                            f"{len(ids)} series")
         require_group_ids((f"series {sid!r}" for sid in ids), group_ids,
                           "group-aware folds require one per series")
     # Without groups each series is a unit of its own.
@@ -56,7 +59,8 @@ def kfold_split(ids: Sequence[str], k: int, seed: int = 0,
     for sid, key in zip(ids, group_ids if group_aware else ids):
         members.setdefault(str(key), []).append(sid)
     if k > len(members):
-        raise DataError(f"kfold_split: k={k} exceeds {len(members)} assignable units")
+        units = "groups" if group_aware else "series"
+        raise DataError(f"cannot deal {len(members)} {units} into {k} folds")
     shuffled = list(members)
     random.Random(seed).shuffle(shuffled)
     assignment: dict[str, int] = {}

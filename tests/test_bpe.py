@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from naive_bpe import count_all, naive_fit
+from naive_bpe import count_all, naive_fit, replace_one
 from pdbpe import DataError
 from pdbpe.bpe import Corpus, MergeRule, Vocabulary, encode_corpus, fit_bpe
 
@@ -277,6 +277,67 @@ def test_large_base_alphabet(n_series, length):
               for _ in range(n_series)]
     vocab = _assert_matches_oracle(corpus, 199, 0.2, 0.01)
     assert vocab.rules
+
+
+def test_consecutive_hits_share_one_boundary():
+    # Hits of (0, 1) back to back: each (1, 0) between them is the right
+    # neighbour of one hit and the left neighbour of the next, and is lost
+    # once; the merge makes (2, 2) adjacencies in its place.
+    for corpus in ([[0, 1, 0, 1, 0, 1, 2]], [[2, 0, 1, 0, 1, 2, 0, 1, 0, 1]],
+                   [[0, 1] * 6, [1, 0] * 5, [0, 1, 0]]):
+        for P, U in ((0.0, 0.0), (0.2, 0.05)):
+            _assert_matches_oracle(corpus, 3, P, U)
+    rng = random.Random(34)
+    for _ in range(200):
+        corpus = [[s for _ in range(rng.randint(0, 8))
+                   for s in rng.choice([[0, 1], [1, 0], [0, 1, 2], [2]])]
+                  for _ in range(rng.randint(1, 4))]
+        _assert_matches_oracle(corpus, 3, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("run", [1, 2, 3, 4, 5, 6])
+def test_runs_next_to_a_hit(run):
+    # A run of the left symbol before a hit, or of the right symbol after
+    # one, is shortened by the merge; its self-pair count falls by one when
+    # its length is even and stays when odd.
+    for corpus in ([[0] * run + [1]], [[0] + [1] * run],
+                   [[0] * run + [1] * run], [[1] + [0] * run + [1, 2]],
+                   [[0] * run + [1, 2] + [1] * run, [0, 0, 1, 1]]):
+        _assert_matches_oracle(corpus, 3, 0.0, 0.0)
+        _assert_matches_oracle(corpus * 3, 3, 0.2, 0.0)
+
+
+@pytest.mark.parametrize("alphabet", [1, 2, 3])
+def test_mining_to_exhaustion_outgrows_the_bound_table(alphabet):
+    # With P = U = 0 mining stops only when no pair is left, so the
+    # vocabulary grows well past twice the base alphabet.
+    rng = random.Random(35 + alphabet)
+    for _ in range(20):
+        corpus = [[rng.randrange(alphabet) for _ in range(rng.randint(0, 40))]
+                  for _ in range(rng.randint(1, 4))]
+        _assert_matches_oracle(corpus, alphabet, 0.0, 0.0)
+    corpus = [[rng.randrange(alphabet) for _ in range(60)] for _ in range(3)]
+    vocab = _assert_matches_oracle(corpus, alphabet, 0.0, 0.0)
+    assert vocab.size > 8 * alphabet
+
+
+def test_encode_unseen_corpus_where_rules_find_no_left_symbol():
+    # Rules learned over symbol 2, and every symbol built from it, find no
+    # occurrence in a corpus without 2; the other rules still apply.
+    rng = random.Random(36)
+    train = [[0, 1, 2, 2, 0, 1, 2] * 4, [2, 2, 2, 0, 1] * 3,
+             [0, 0, 0, 1, 1, 1, 0, 0] * 2]
+    vocab, _ = fit_bpe(Corpus.from_sequences(train), 3, P=0.0, U=0.0)
+    assert any(2 in vocab.decode(r.left) for r in vocab.rules)
+    for _ in range(100):
+        fresh = [[rng.randrange(2) for _ in range(rng.randint(0, 30))]
+                 for _ in range(rng.randint(1, 5))]
+        want = fresh
+        for r in vocab.rules:
+            want = [replace_one(seq, r.left, r.right, r.new_symbol)
+                    for seq in want]
+        assert encode_corpus(Corpus.from_sequences(fresh),
+                             vocab).sequences() == want
 
 
 def test_oracle_helpers_agree_on_simple_case():

@@ -273,6 +273,23 @@ def test_evaluate_group_aware_requires_groups(tmp_path, capsys):
     assert not (tmp_path / "r.txt").exists()
 
 
+def test_evaluate_more_folds_than_groups_names_the_groups(tmp_path, capsys):
+    data, _ = _write_motif_corpus(tmp_path)
+    labels = tmp_path / "groups.csv"
+    with open(labels, "w") as fh:
+        fh.write("series_id,label,group_id\n")
+        for i in range(16):
+            fh.write(f"s{i},{'a' if i % 2 else 'b'},g{i}\n")
+    code = main(["evaluate", "--data", data, "--labels", str(labels),
+                 "--k", "4", "--w", "3", "--folds", "20", "--group-aware",
+                 "--report-out", str(tmp_path / "r.txt")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "cannot deal 16 groups into 20 folds" in err
+    assert "kfold_split" not in err
+    assert not (tmp_path / "r.txt").exists()
+
+
 def test_evaluate_grid_reports_per_fold_choice(tmp_path, capsys):
     data, labels = _write_motif_corpus(tmp_path)
     report = tmp_path / "r.txt"

@@ -45,13 +45,15 @@ def test_kfold_group_aware_keeps_groups_whole():
 
 
 def test_kfold_validation_errors():
-    with pytest.raises(DataError):
-        kfold_split(["a", "a"], 2)
+    with pytest.raises(DataError, match="series id 'a' appears more than once"):
+        kfold_split(["b", "a", "a"], 2)
     with pytest.raises(DataError):
         kfold_split(["a", "b", "c"], 1)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="cannot deal 3 series into 4 folds"):
         kfold_split(["a", "b", "c"], 4)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="cannot deal 2 groups into 3 folds"):
+        kfold_split(["a", "b", "c"], 3, group_ids=["g", "g", "h"])
+    with pytest.raises(DataError, match="got 1 group ids for 2 series"):
         kfold_split(["a", "b"], 2, group_ids=["g"])
     # A missing group id is not a group of its own: it would pool every
     # series that lacks one, and a real group named "None" with them.
