@@ -280,8 +280,10 @@ def fit_bpe(corpus: Corpus, base_size: int, P: float = 0.20,
         half = nxt[hits]
         x, y = t[prv[hits]], t[nxt[half]]
         x[1:][nxt[half[:-1]] == hits[1:]] = -1
-        np.subtract.at(bound, (x[(x >= 0) & (x != left)], left), 1)
-        np.subtract.at(bound, (right, y[(y >= 0) & (y != right)]), 1)
+        # An int32 operand, the table's dtype, keeps ufunc.at off numpy's
+        # generic per-element loop; the cost stays proportional to the hits.
+        np.subtract.at(bound, (x[(x >= 0) & (x != left)], left), np.int32(1))
+        np.subtract.at(bound, (right, y[(y >= 0) & (y != right)]), np.int32(1))
         bound[left, right] = 0
         V = base_size + len(rules)
         holders = links.series[hits]

@@ -471,17 +471,17 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"pdbpe: error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except DataError as exc:
+    except (DataError, ValueError) as exc:
         print(f"pdbpe: data error: {exc}", file=sys.stderr)
         return DATA_EXIT
     except NumericError as exc:
         print(f"pdbpe: numeric error: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
-    except ValueError as exc:
-        print(f"pdbpe: data error: {exc}", file=sys.stderr)
-        return DATA_EXIT
     except OSError as exc:
         print(f"pdbpe: i/o error: {exc}", file=sys.stderr)
+        return DATA_EXIT
+    except MemoryError as exc:
+        print(f"pdbpe: data error: out of memory: {exc}".rstrip(": "), file=sys.stderr)
         return DATA_EXIT
 
 

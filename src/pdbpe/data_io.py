@@ -215,7 +215,8 @@ class _Columns:
         rows = 0
         for _, s, c, t, _ in self.blocks:
             present[s, c] = True
-            np.maximum.at(last, s, t)
+            # Matching dtypes keep ufunc.at off numpy's generic loop.
+            np.maximum.at(last, s.astype(np.intp), t.astype(np.int64))
             rows += s.size
         missing = np.argwhere(~present)
         if missing.size:

@@ -48,25 +48,36 @@ class Discretizer:
         return (lo, lo + self.width)
 
 
+def _quartiles(values: np.ndarray) -> list[float]:
+    """Q1 and Q3 of a non-empty array, as fit_discretizer states them."""
+    n = values.size
+    at = [(v, int(v), min(int(v) + 1, n - 1)) for v in ((n - 1) * 0.25, (n - 1) * 0.75)]
+    # np.quantile's partition points, so that tied 0.0 and -0.0 land as in it.
+    part = np.partition(values, sorted({0, -1}.union(*(p[1:] for p in at))))
+    lerps = [(float(part[lo]), float(part[hi]), v - lo if lo < hi else 1.0) for v, lo, hi in at]
+    return [a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g) for a, b, g in lerps]
+
+
 def fit_discretizer(values, K: int, iqr_multiplier: float = 1.5) -> Discretizer:
     """Fit bin edges on pooled training values.
 
-    Outliers beyond [Q1 - m*IQR, Q3 + m*IQR] are set aside before the edges
-    are placed; quartiles use linear interpolation at position (n-1)*q.
-    The K+1 edges are spaced evenly over [min, max] of the in-fence values.
+    Outliers beyond [Q1 - m*IQR, Q3 + m*IQR] are set aside, and the K+1 edges are
+    spaced evenly over [min, max] of the in-fence values. Quartile q is numpy's
+    "linear" rule in float64: with v = (n-1)*q, lo = floor(v), hi = min(lo+1, n-1),
+    g = v - lo (1 if n = 1), a, b the lo-th and hi-th smallest values and d = b - a,
+    it is a + d*g if g < 0.5, else b - d*(1-g).
     """
     values = np.asarray(values, dtype=np.float64).ravel()
     if values.size == 0:
         raise NumericError("cannot fit a discretizer on an empty value pool")
     if not np.all(np.isfinite(values)):
         raise NumericError("non-finite value in discretizer training pool")
-    q1, q3 = np.quantile(values, [0.25, 0.75])
+    q1, q3 = _quartiles(values)
     iqr = q3 - q1
     lower = q1 - iqr_multiplier * iqr
     upper = q3 + iqr_multiplier * iqr
     in_fence = values[(values >= lower) & (values <= upper)]
-    lo = float(in_fence.min())
-    hi = float(in_fence.max())
+    lo, hi = float(in_fence.min()), float(in_fence.max())
     if not lo < hi:
         raise NumericError(
             f"discretizer needs at least 2 distinct in-fence values; "

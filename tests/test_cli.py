@@ -110,6 +110,28 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 105. MiB for an array with shape "
+                 "(5244, 5244) and data type int32"),
+     "pdbpe: data error: out of memory: Unable to allocate 105. MiB for an "
+     "array with shape (5244, 5244) and data type int32"),
+    (MemoryError(), "pdbpe: data error: out of memory")],
+    ids=["numpy", "bare"])
+def test_out_of_memory_is_one_line_data_error(tmp_path, capsys, monkeypatch,
+                                              error, line):
+    def fit_pipeline(*args, **kwargs):
+        raise error
+    monkeypatch.setattr("pdbpe.cli.fit_pipeline", fit_pipeline)
+    data, _ = _write_motif_corpus(tmp_path)
+    code = main(["discover", "--data", data, "--k", "4", "--w", "2",
+                 "--model-out", str(tmp_path / "m.json"),
+                 "--features-out", str(tmp_path / "f.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [line]
+    assert "Traceback" not in err
+
+
 def test_constant_data_is_numeric_error(tmp_path, capsys):
     data = tmp_path / "flat.csv"
     with open(data, "w") as fh:

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pdbpe import DataError, NumericError
-from pdbpe.discretize import Discretizer, apply_discretizer, fit_discretizer
+from pdbpe.discretize import (Discretizer, _quartiles, apply_discretizer,
+                              fit_discretizer)
 
 
 def test_fences_from_linear_interpolation_quartiles():
@@ -123,3 +125,66 @@ def test_discretizer_accepts_repeated_edges_from_a_tiny_range():
     again = Discretizer(K=4, lower_fence=disc.lower_fence,
                         upper_fence=disc.upper_fence, edges=list(disc.edges))
     assert apply_discretizer(np.nextafter(1.0, 2.0), again) == 3
+
+
+# Quartiles against np.quantile, the oracle the written-out rule replaces.
+
+_MAX = np.finfo(np.float64).max
+_EDGE_VALUES = [0.0, -0.0, 1.0, -1.0, 2.5,
+                5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+                1e308, -1e308, _MAX, -_MAX, 8.9e307]
+
+
+@st.composite
+def _pools(draw):
+    """Pools of 1-5 values (every fraction of (n-1)*q) or a few more, drawn
+    from a small palette so that ties are heavy."""
+    palette = draw(st.lists(st.sampled_from(_EDGE_VALUES)
+                            | st.floats(allow_nan=False, allow_infinity=False),
+                            min_size=1, max_size=4))
+    n = draw(st.integers(1, 5) | st.integers(6, 40))
+    return draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n))
+
+
+def _fit_with_np_quantile(values, K, iqr_multiplier):
+    values = np.asarray(values, dtype=np.float64)
+    q1, q3 = np.quantile(values, [0.25, 0.75])
+    iqr = q3 - q1
+    lower = q1 - iqr_multiplier * iqr
+    upper = q3 + iqr_multiplier * iqr
+    in_fence = values[(values >= lower) & (values <= upper)]
+    lo, hi = float(in_fence.min()), float(in_fence.max())
+    if not lo < hi:
+        raise NumericError(
+            f"discretizer needs at least 2 distinct in-fence values; "
+            f"fenced range is [{lo:.6g}, {hi:.6g}]")
+    return Discretizer(K=K, lower_fence=float(lower), upper_fence=float(upper),
+                       edges=np.linspace(lo, hi, K + 1))
+
+
+def _outcome(fit, values, K, iqr_multiplier):
+    """A fit's result as bytes, or its error, so -0.0 differs from 0.0."""
+    try:
+        with np.errstate(all="ignore"):
+            disc = fit(values, K, iqr_multiplier)
+    except (DataError, NumericError, ValueError) as exc:
+        return type(exc), str(exc)
+    return (disc.K, np.array([disc.lower_fence, disc.upper_fence]).tobytes(),
+            disc.edges.tobytes())
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000, database=None)
+@given(values=_pools(), K=st.integers(1, 6),
+       iqr_multiplier=st.sampled_from([0.0, 0.5, 1.5, 3.0]))
+@example(values=[-0.0], K=2, iqr_multiplier=1.5)
+@example(values=[0.0, -0.0, -0.0, 0.0, 1.0], K=2, iqr_multiplier=0.0)
+@example(values=[-_MAX, _MAX], K=2, iqr_multiplier=1.5)
+@example(values=[-1e308, 0.0, 1e308, 1e308, -1e308], K=3, iqr_multiplier=1.5)
+def test_quartiles_match_np_quantile_bit_for_bit(values, K, iqr_multiplier):
+    values = np.array(values)
+    with np.errstate(all="ignore"):
+        want = np.quantile(values, [0.25, 0.75])
+    # Bytes, so the sign of a zero, an infinity and a NaN all count.
+    assert np.array(_quartiles(values)).tobytes() == want.tobytes()
+    assert (_outcome(fit_discretizer, values, K, iqr_multiplier)
+            == _outcome(_fit_with_np_quantile, values, K, iqr_multiplier))

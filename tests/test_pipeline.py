@@ -1,8 +1,14 @@
 """End-to-end fitting, transforming, spans, and thread-count invariance."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import pdbpe
 from pdbpe import (DataError, Dataset, PipelineConfig, TimeSeries,
                    fit_pipeline, transform_dataset)
 from pdbpe.bpe import Corpus
@@ -251,3 +257,28 @@ def test_thread_count_does_not_change_output(monkeypatch):
     monkeypatch.setenv("PDBPE_THREADS", "4")
     _, threaded = fit_pipeline(ds, CFG)
     assert np.array_equal(serial.values, threaded.values)
+
+
+def test_fit_transform_and_cross_validate_never_import_numpy_ma():
+    # numpy.ma costs every process milliseconds and RSS to import, and
+    # np.quantile and friends pull it in; a fresh interpreter shows it.
+    script = textwrap.dedent("""
+        import sys
+        from pdbpe import PipelineConfig, fit_pipeline, transform_dataset
+        from pdbpe.evaluate import cross_validate, kfold_split
+        from synth import motif_dataset
+
+        ds, _ = motif_dataset(n_series=12, length=64, motif_len=8, seed=5)
+        config = PipelineConfig(K=4, W=2)
+        model, _ = fit_pipeline(ds, config)
+        transform_dataset(model, ds)
+        cross_validate(ds, config, kfold_split(ds.ids, 2, seed=0),
+                       task="classification")
+        assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+    """)
+    paths = [os.path.dirname(os.path.dirname(pdbpe.__file__)),
+             os.path.dirname(__file__)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
