@@ -76,12 +76,16 @@ def fit_discretizer(values, K: int, iqr_multiplier: float = 1.5) -> Discretizer:
     iqr = q3 - q1
     lower = q1 - iqr_multiplier * iqr
     upper = q3 + iqr_multiplier * iqr
+    if not (np.isfinite(lower) and np.isfinite(upper)):
+        raise NumericError("values too large to discretize: fences overflow")
     in_fence = values[(values >= lower) & (values <= upper)]
     lo, hi = float(in_fence.min()), float(in_fence.max())
     if not lo < hi:
         raise NumericError(
             f"discretizer needs at least 2 distinct in-fence values; "
             f"fenced range is [{lo:.6g}, {hi:.6g}]")
+    if not np.isfinite(hi - lo):
+        raise NumericError("values too large to discretize: edges overflow")
     edges = np.linspace(lo, hi, K + 1)
     return Discretizer(K=K, lower_fence=float(lower), upper_fence=float(upper),
                        edges=edges)

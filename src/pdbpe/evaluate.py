@@ -75,33 +75,24 @@ def kfold_split(ids: Sequence[str], k: int, seed: int = 0,
 # ---------------------------------------------------------------------------
 # Predictors
 
-@dataclass
-class RidgeModel:
-    feature_mean: np.ndarray
-    feature_scale: np.ndarray
-    weights: np.ndarray
-    intercept: float
+def ridge_fit_predict(train_X, y_train, test_X, lam: float) -> np.ndarray:
+    """Fit least squares with an L2 penalty on standardized coefficients and
+    predict test_X.
 
-
-def ridge_fit(X, y, lam: float = 1.0) -> RidgeModel:
-    """Least squares with an L2 penalty on standardized coefficients.
-
-    Features are standardized with training statistics and the target is
+    Features are standardized with training statistics (a column whose
+    standard deviation is below 1e-12 keeps scale 1) and the target is
     centered, so the intercept is unpenalized. A singular system at lam=0 is
     a hard error suggesting a positive lam.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.size:
-        raise DataError("ridge_fit: X must be (n x f) and y length n")
-    if lam < 0:
-        raise DataError("ridge_fit: lam must be >= 0")
+    if not lam >= 0:
+        raise DataError("ridge: lam must be >= 0")
+    X = np.asarray(train_X, dtype=np.float64)
+    y = np.asarray(y_train, dtype=np.float64)
     mean = X.mean(axis=0)
     scale = X.std(axis=0)
     scale[scale < 1e-12] = 1.0
     Z = (X - mean) / scale
     y_mean = float(y.mean())
-    yc = y - y_mean
     gram = Z.T @ Z + lam * np.eye(Z.shape[1])
     try:
         # Cholesky doubles as the positive-definiteness check.
@@ -109,59 +100,26 @@ def ridge_fit(X, y, lam: float = 1.0) -> RidgeModel:
     except np.linalg.LinAlgError:
         raise NumericError("ridge system is singular at lam=0; "
                            "use a positive lam") from None
-    rhs = Z.T @ yc
-    w = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
-    return RidgeModel(feature_mean=mean, feature_scale=scale, weights=w,
-                      intercept=y_mean)
+    w = np.linalg.solve(chol.T, np.linalg.solve(chol, Z.T @ (y - y_mean)))
+    test_Z = (np.asarray(test_X, dtype=np.float64) - mean) / scale
+    return test_Z @ w + y_mean
 
 
-def ridge_predict(model: RidgeModel, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    Z = (X - model.feature_mean) / model.feature_scale
-    return Z @ model.weights + model.intercept
-
-
-def _nearest(train_X, query, k: int, caller: str) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the k nearest training rows (Euclidean; distance ties keep
-    training row order) and the distances to every training row."""
+def _neighbours(train_X, test_X, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and distances of the k nearest training rows (Euclidean;
+    distance ties keep training row order) of every test row, as two
+    (n_test x k) arrays in neighbour order."""
     train_X = np.asarray(train_X, dtype=np.float64)
-    query = np.asarray(query, dtype=np.float64)
-    n = train_X.shape[0]
-    if not 1 <= k <= n:
-        raise DataError(f"{caller}: k={k} outside [1, {n}]")
-    diffs = train_X - query
-    dists = np.sqrt((diffs * diffs).sum(axis=1))
-    return np.argsort(dists, kind="stable")[:k], dists
-
-
-def knn_predict(train_X, train_labels: Sequence[str], query, k: int) -> str:
-    """Majority vote among the k nearest training rows (Euclidean).
-
-    Vote ties go to the candidate with the smallest mean distance, then to
-    the lexicographically smallest label. Neighbor-rank ties are broken by
-    training row order (stable sort).
-    """
-    order, dists = _nearest(train_X, query, k, "knn_predict")
-    if len(train_labels) != len(dists):
-        raise DataError("knn_predict: labels length mismatch")
-    votes: dict[str, int] = {}
-    dist_sum: dict[str, float] = {}
-    for idx in order:
-        lab = str(train_labels[idx])
-        votes[lab] = votes.get(lab, 0) + 1
-        dist_sum[lab] = dist_sum.get(lab, 0.0) + float(dists[idx])
-    best = min(votes,
-               key=lambda lab: (-votes[lab], dist_sum[lab] / votes[lab], lab))
-    return best
-
-
-def knn_positive_fraction(train_X, train_labels: Sequence[str], query, k: int,
-                          positive: str) -> float:
-    """Fraction of the k nearest neighbors carrying the positive label;
-    a ranking score for AUC."""
-    order, _ = _nearest(train_X, query, k, "knn")
-    hits = sum(1 for idx in order if str(train_labels[idx]) == positive)
-    return hits / k
+    if not 1 <= k <= len(train_X):
+        raise DataError(f"k-NN: knn_k={k} outside [1, {len(train_X)}]")
+    index = np.empty((len(test_X), k), dtype=np.intp)
+    dist = np.empty(index.shape)
+    for row, query in enumerate(test_X):
+        diffs = train_X - query
+        d = np.sqrt((diffs * diffs).sum(axis=1))
+        index[row] = np.argsort(d, kind="stable")[:k]
+        dist[row] = d[index[row]]
+    return index, dist
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +201,9 @@ def _series_labels(dataset: Dataset, task: str) -> list:
             except (TypeError, ValueError):
                 raise DataError(f"series {ts.id!r}: label {ts.label!r} is not "
                                 "numeric but the task is regression") from None
+            if not np.isfinite(labels[-1]):
+                raise DataError(f"series {ts.id!r}: label {ts.label!r} is not "
+                                "a finite number")
         else:
             labels.append(str(ts.label))
     return labels
@@ -251,24 +212,41 @@ def _series_labels(dataset: Dataset, task: str) -> list:
 def score_split(train_X, y_train, test_X, y_test, task: str, metric: str,
                 knn_k: int = 5, ridge_lambda: float = 1.0,
                 positive_label: str | None = None) -> float:
-    """Train the task's predictor on one split and score the held-out rows."""
+    """Train the task's predictor on one split and score the held-out rows.
+
+    Regression scores ridge_fit_predict by rmse. For accuracy a row votes
+    with its knn_k nearest training rows: most votes, then smallest mean
+    distance (summed in neighbour order), then smallest label. For auc its
+    score is the share of them carrying positive_label (default: the larger
+    of exactly two labels).
+    """
+    if len(y_train) != len(train_X):
+        raise DataError("score_split: y_train needs one label per train_X row")
     if task == "regression":
-        predictor = ridge_fit(train_X, y_train, lam=ridge_lambda)
-        preds = ridge_predict(predictor, test_X)
-        return rmse(y_test, preds)
+        return rmse(y_test, ridge_fit_predict(train_X, y_train, test_X,
+                                              ridge_lambda))
+    index, dist = _neighbours(train_X, test_X, knn_k)
     if metric == "accuracy":
-        preds = [knn_predict(train_X, y_train, row, knn_k) for row in test_X]
-        return accuracy(y_test, preds)
+        classes = sorted(set(y_train))
+        code = {lab: c for c, lab in enumerate(classes)}
+        near = np.array([code[lab] for lab in y_train])[index]
+        rows = np.arange(near.shape[0])
+        votes = np.zeros((near.shape[0], len(classes)), dtype=np.intp)
+        dist_sum = np.zeros(votes.shape)
+        for j in range(knn_k):
+            votes[rows, near[:, j]] += 1
+            dist_sum[rows, near[:, j]] += dist[:, j]
+        # lexsort is stable, so classes still tied stay in label order.
+        ranked = np.lexsort((dist_sum / np.maximum(votes, 1), -votes), axis=1)
+        return accuracy(y_test, [classes[c] for c in ranked[:, 0]])
     pos = positive_label
     if pos is None:
         classes = sorted(set(y_train) | set(y_test))
         if len(classes) != 2:
             raise DataError("auc needs exactly 2 classes")
         pos = classes[-1]
-    scores = [knn_positive_fraction(train_X, y_train, row, knn_k, pos)
-              for row in test_X]
-    y_bin = np.array([1 if lab == pos else 0 for lab in y_test])
-    return auc_roc(y_bin, scores)
+    hits = np.array([lab == pos for lab in y_train])[index].sum(axis=1)
+    return auc_roc(np.array([lab == pos for lab in y_test]), hits / knn_k)
 
 
 def cross_validate(dataset: Dataset, config: PipelineConfig, plan: CvPlan,
@@ -280,8 +258,11 @@ def cross_validate(dataset: Dataset, config: PipelineConfig, plan: CvPlan,
     """Refit the pipeline per fold and score held-out series.
 
     task is "regression" (ridge, rmse) or "classification" (k-NN, accuracy
-    or auc); another task, a metric the task cannot use, or a knn_k below 1
-    for classification is a UsageError.
+    or auc). Raised before any fold is fitted: a UsageError for another
+    task, a metric the task cannot use, a knn_k below 1 for classification
+    or a ridge_lambda that is not a finite number >= 0 for regression; a
+    DataError for a knn_k above the smallest training split of the plan or
+    of an inner plan, or an auc positive_label that no series carries.
     The fitted state per fold depends only on that fold's training rows;
     fingerprints of the fitted models are recorded so tests can verify the
     separation.
@@ -290,7 +271,7 @@ def cross_validate(dataset: Dataset, config: PipelineConfig, plan: CvPlan,
     one (K, W) point, each fold picks its config by grid_search on an inner
     plan over its training rows: inner_folds folds, seed plan.seed + 101 +
     fold, grouped by each series' group_id when plan is group-aware; an
-    inner_folds below 2 is then a UsageError, raised before any fold is fitted.
+    inner_folds below 2 is then a UsageError.
     Each FoldResult.config records the config the fold was fitted with.
     """
     if task not in ("regression", "classification"):
@@ -312,9 +293,15 @@ def cross_validate(dataset: Dataset, config: PipelineConfig, plan: CvPlan,
                          f"inner_folds of at least 2, got {inner_folds}")
     if task == "classification" and knn_k < 1:
         raise UsageError(f"k-NN needs knn_k of at least 1, got {knn_k}")
+    if task == "regression" and not 0 <= ridge_lambda < np.inf:
+        raise UsageError(f"ridge regression needs ridge_lambda to be a finite "
+                         f"number >= 0, got {ridge_lambda!r}")
+    if metric == "auc" and positive_label not in (None, *labels.values()):
+        raise DataError(f"auc positive label {positive_label!r} is carried by "
+                        f"no series")
     if not nested:
         config = replace(config, K=k_grid[0], W=w_grid[0])
-    folds: list[FoldResult] = []
+    splits = []
     for fold in range(plan.k):
         train = Dataset(tuple(ts for ts in dataset
                               if plan.assignment[ts.id] != fold))
@@ -322,13 +309,21 @@ def cross_validate(dataset: Dataset, config: PipelineConfig, plan: CvPlan,
                              if plan.assignment[ts.id] == fold))
         if len(train) == 0 or len(test) == 0:
             raise DataError(f"fold {fold} leaves an empty train or test split")
+        groups = [ts.group_id for ts in train] if plan.group_aware else None
+        splits.append((train, test, kfold_split(
+            train.ids, inner_folds, seed=plan.seed + 101 + fold,
+            group_ids=groups) if nested else None))
+    if task == "classification":
+        for each in [plan] + [inner for *_, inner in splits if inner]:
+            sizes = Counter(each.assignment.values()).values()
+            smallest = len(each.assignment) - max(sizes)
+            if knn_k > smallest:
+                raise DataError(f"knn_k={knn_k} exceeds the smallest training "
+                                f"split, {smallest} series")
+    folds: list[FoldResult] = []
+    for fold, (train, test, inner_plan) in enumerate(splits):
         fold_config = config
         if nested:
-            inner_groups = ([ts.group_id for ts in train]
-                            if plan.group_aware else None)
-            inner_plan = kfold_split(train.ids, inner_folds,
-                                     seed=plan.seed + 101 + fold,
-                                     group_ids=inner_groups)
             fold_config, _table = grid_search(
                 train, k_grid, w_grid, inner_plan, task, config, metric=metric,
                 knn_k=knn_k, ridge_lambda=ridge_lambda,

@@ -449,6 +449,70 @@ def test_evaluate_ignores_flags_the_run_does_not_use(tmp_path, capsys,
     assert "task: regression" in report.read_text()
 
 
+def _evaluate_rejected(tmp_path, capsys, monkeypatch, labels, flags):
+    """Run evaluate with fitting disabled; return (exit code, stderr)."""
+    data, class_labels = _write_motif_corpus(tmp_path, n=12)
+    if labels is not None:
+        with open(tmp_path / "own_labels.csv", "w", encoding="utf-8") as fh:
+            fh.write("series_id,label\n")
+            for i, label in enumerate(labels):
+                fh.write(f"s{i},{label}\n")
+        class_labels = str(tmp_path / "own_labels.csv")
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_pipeline was called")
+
+    monkeypatch.setattr("pdbpe.evaluate.fit_pipeline", no_fit)
+    code = main(["evaluate", "--data", data, "--labels", class_labels,
+                 "--k", "4", "--w", "3", "--folds", "3",
+                 "--report-out", str(tmp_path / "r.txt")] + flags)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.txt").exists()
+    return code, err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_evaluate_non_finite_regression_label_is_data_error(
+        tmp_path, capsys, monkeypatch, bad):
+    labels = [str(i % 3) for i in range(12)]
+    labels[5] = bad
+    code, err = _evaluate_rejected(tmp_path, capsys, monkeypatch, labels, [])
+    assert code == 2
+    assert f"series 's5': label '{bad}' is not a finite number" in err
+
+
+@pytest.mark.parametrize("lam", ["nan", "-1", "inf"])
+def test_evaluate_bad_ridge_lambda_is_usage_error(tmp_path, capsys,
+                                                  monkeypatch, lam):
+    labels = [str(i * 0.5) for i in range(12)]
+    code, err = _evaluate_rejected(tmp_path, capsys, monkeypatch, labels,
+                                   ["--ridge-lambda", lam])
+    assert code == 1
+    assert err.startswith("pdbpe: error: ") and "ridge_lambda" in err
+
+
+@pytest.mark.parametrize("flags,size", [
+    (["--knn-k", "1000"], 8),
+    (["--knn-k", "1000", "--metric", "auc"], 8),
+    (["--knn-k", "5", "--k-grid", "3,4", "--inner-folds", "2"], 4)],
+    ids=["accuracy", "auc", "inner-plan"])
+def test_evaluate_knn_k_above_smallest_training_split_is_data_error(
+        tmp_path, capsys, monkeypatch, flags, size):
+    code, err = _evaluate_rejected(tmp_path, capsys, monkeypatch, None, flags)
+    assert code == 2
+    assert f"knn_k={flags[1]} exceeds the smallest training split, " \
+           f"{size} series" in err
+
+
+def test_evaluate_positive_label_no_series_carries_is_data_error(
+        tmp_path, capsys, monkeypatch):
+    code, err = _evaluate_rejected(tmp_path, capsys, monkeypatch, None,
+                                   ["--metric", "auc", "--positive-label", "zz"])
+    assert code == 2
+    assert "positive label 'zz' is carried by no series" in err
+
+
 def _extra_discretizer(doc):
     doc["discretizers"]["spare"] = doc["discretizers"]["hr"]
 

@@ -152,12 +152,16 @@ def _fit_with_np_quantile(values, K, iqr_multiplier):
     iqr = q3 - q1
     lower = q1 - iqr_multiplier * iqr
     upper = q3 + iqr_multiplier * iqr
+    if not (np.isfinite(lower) and np.isfinite(upper)):
+        raise NumericError("values too large to discretize: fences overflow")
     in_fence = values[(values >= lower) & (values <= upper)]
     lo, hi = float(in_fence.min()), float(in_fence.max())
     if not lo < hi:
         raise NumericError(
             f"discretizer needs at least 2 distinct in-fence values; "
             f"fenced range is [{lo:.6g}, {hi:.6g}]")
+    if not np.isfinite(hi - lo):
+        raise NumericError("values too large to discretize: edges overflow")
     return Discretizer(K=K, lower_fence=float(lower), upper_fence=float(upper),
                        edges=np.linspace(lo, hi, K + 1))
 
@@ -188,3 +192,13 @@ def test_quartiles_match_np_quantile_bit_for_bit(values, K, iqr_multiplier):
     assert np.array(_quartiles(values)).tobytes() == want.tobytes()
     assert (_outcome(fit_discretizer, values, K, iqr_multiplier)
             == _outcome(_fit_with_np_quantile, values, K, iqr_multiplier))
+
+
+@pytest.mark.parametrize("values,what", [
+    ([-_MAX, _MAX], "fences"),
+    ([-1e308, 0.0, 1e308, 1e308, -1e308], "fences"),
+    ([-0.95e308, -0.25e308, -0.25e308, 0.25e308, 0.25e308, 0.95e308],
+     "edges")])
+def test_overflowing_pool_is_numeric_error(values, what):
+    with pytest.raises(NumericError, match=f"values too large .*{what}"):
+        fit_discretizer(values, 3)

@@ -1,15 +1,16 @@
 """Fold planning, predictors, metrics, and cross-validation honesty."""
 
 import random
+import re
 
 import numpy as np
 import pytest
 
 from pdbpe import (DataError, Dataset, NumericError, PipelineConfig,
                    TimeSeries, UsageError, cross_validate)
+from pdbpe.core import Variation
 from pdbpe.evaluate import (accuracy, auc_roc, grid_search, kfold_split,
-                            knn_predict, ridge_fit, ridge_predict, rmse,
-                            score_split)
+                            ridge_fit_predict, rmse, score_split)
 from synth import motif_dataset, random_dataset
 
 
@@ -71,76 +72,105 @@ def test_ridge_zero_lambda_matches_least_squares():
     X = rng.normal(size=(40, 5))
     w_true = rng.normal(size=5)
     y = X @ w_true + 0.01 * rng.normal(size=40)
-    model = ridge_fit(X, y, lam=0.0)
+    preds = ridge_fit_predict(X, y, X, lam=0.0)
     # Oracle: ordinary least squares on the standardized design.
     Z = (X - X.mean(axis=0)) / X.std(axis=0)
     w_ls, *_ = np.linalg.lstsq(Z, y - y.mean(), rcond=None)
-    assert np.allclose(model.weights, w_ls, atol=1e-8)
-    preds = ridge_predict(model, X)
+    assert np.allclose(preds, Z @ w_ls + y.mean(), atol=1e-8)
     assert rmse(y, preds) < 0.02
 
 
 def test_ridge_penalty_shrinks_weights():
+    # Standardized predictions are Z @ w + mean(y), so a smaller weight
+    # vector keeps them closer to the mean.
     rng = np.random.default_rng(16)
     X = rng.normal(size=(30, 4))
     y = X @ np.array([2.0, -1.0, 0.5, 3.0]) + rng.normal(size=30)
-    small = ridge_fit(X, y, lam=0.01)
-    large = ridge_fit(X, y, lam=1000.0)
-    assert np.linalg.norm(large.weights) < np.linalg.norm(small.weights)
+    small = ridge_fit_predict(X, y, X, lam=0.01)
+    large = ridge_fit_predict(X, y, X, lam=1000.0)
+    assert np.linalg.norm(large - y.mean()) < np.linalg.norm(small - y.mean())
 
 
 def test_ridge_singular_at_zero_lambda_is_numeric_error():
     X = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])  # collinear columns
     y = np.array([1.0, 2.0, 3.0])
     with pytest.raises(NumericError, match="positive lam"):
-        ridge_fit(X, y, lam=0.0)
+        ridge_fit_predict(X, y, X, lam=0.0)
     # A positive penalty makes the same system solvable.
-    model = ridge_fit(X, y, lam=1.0)
-    assert np.all(np.isfinite(model.weights))
+    assert np.all(np.isfinite(ridge_fit_predict(X, y, X, lam=1.0)))
 
 
 def test_ridge_constant_column_does_not_divide_by_zero():
     X = np.column_stack([np.ones(10), np.arange(10.0)])
     y = np.arange(10.0)
-    model = ridge_fit(X, y, lam=0.1)
-    assert np.all(np.isfinite(ridge_predict(model, X)))
+    assert np.all(np.isfinite(ridge_fit_predict(X, y, X, lam=0.1)))
 
 
 # ---------------------------------------------------------------------------
 # kNN
 
+def _knn_oracle(X, labels, q, k, positive):
+    """Vote and positive share of one query: sort (distance, row) tuples and
+    vote with the documented tie rules."""
+    dist = [float(np.linalg.norm(X[i] - q)) for i in range(len(X))]
+    top = sorted(range(len(X)), key=lambda i: (dist[i], i))[:k]
+    votes, dsum = {}, {}
+    for i in top:
+        votes[labels[i]] = votes.get(labels[i], 0) + 1
+        dsum[labels[i]] = dsum.get(labels[i], 0.0) + dist[i]
+    vote = min(votes, key=lambda lab: (-votes[lab], dsum[lab] / votes[lab], lab))
+    return vote, sum(labels[i] == positive for i in top) / k
+
+
 def test_knn_matches_brute_force_oracle():
+    # Small-integer features with duplicated rows make distance and vote
+    # ties common; labels are non-ASCII so their order is by code point.
     rng = np.random.default_rng(17)
-    for _ in range(30):
+    palette = ["\u00e9", "e", "\u03a9", "\u00c9"]
+    for _ in range(60):
         n = int(rng.integers(5, 25))
-        X = rng.normal(size=(n, 3))
-        labels = [str(rng.integers(0, 3)) for _ in range(n)]
-        q = rng.normal(size=3)
+        X = rng.integers(0, 3, size=(n, 3)).astype(np.float64)
+        X[rng.integers(0, n, size=n // 3)] = X[0]
+        labels = [palette[i] for i in rng.integers(0, rng.integers(1, 5), size=n)]
+        Q = np.vstack([rng.integers(0, 3, size=(6, 3)), X[:2]]).astype(np.float64)
         k = int(rng.integers(1, n + 1))
-        got = knn_predict(X, labels, q, k)
-        # Independent derivation: sort (distance, row) tuples, vote with the
-        # same tie rules.
-        ranked = sorted(range(n), key=lambda i: (float(np.linalg.norm(X[i] - q)), i))
-        top = ranked[:k]
-        votes = {}
-        dsum = {}
-        for i in top:
-            votes[labels[i]] = votes.get(labels[i], 0) + 1
-            dsum[labels[i]] = dsum.get(labels[i], 0.0) + float(np.linalg.norm(X[i] - q))
-        want = min(votes, key=lambda lab: (-votes[lab], dsum[lab] / votes[lab], lab))
-        assert got == want
+        positive = labels[0]
+        want = [_knn_oracle(X, labels, q, k, positive) for q in Q]
+        # Scored against the oracle's own votes, every row must be right.
+        assert score_split(X, labels, Q, [v for v, _ in want],
+                           "classification", "accuracy", knn_k=k) == 1.0
+        y_test = [positive if i % 2 else "other" for i in range(len(Q))]
+        y_bin = [1 if lab == positive else 0 for lab in y_test]
+        assert score_split(X, labels, Q, y_test, "classification", "auc",
+                           knn_k=k, positive_label=positive) == \
+            auc_roc(y_bin, [share for _, share in want])
 
 
 def test_knn_vote_tie_breaks_on_mean_distance_then_label():
     X = np.array([[0.0], [1.0], [10.0], [11.0]])
     labels = ["b", "b", "a", "a"]
+
+    def predicts(X, labels, q, k, want):
+        return score_split(X, labels, np.array([q]), [want],
+                           "classification", "accuracy", knn_k=k) == 1.0
+
     # k=4: two votes each; class b is closer on average.
-    assert knn_predict(X, labels, np.array([0.5]), 4) == "b"
-    # Equidistant classes: lexicographically smaller label wins.
+    assert predicts(X, labels, [0.5], 4, "b")
+    # Equidistant classes: the label first in code point order wins.
     X2 = np.array([[0.0], [2.0]])
-    assert knn_predict(X2, ["b", "a"], np.array([1.0]), 2) == "a"
-    with pytest.raises(DataError):
-        knn_predict(X, labels, np.array([0.0]), 0)
+    assert predicts(X2, ["b", "a"], [1.0], 2, "a")
+    assert predicts(X2, ["\u00e9", "z"], [1.0], 2, "z")
+    # Duplicated rows: the tied equidistant rows come in training row order.
+    X3 = np.array([[1.0], [1.0], [1.0]])
+    assert predicts(X3, ["\u00e9", "z", "z"], [1.0], 1, "\u00e9")
+    for k in (0, 5):
+        with pytest.raises(DataError, match="knn_k"):
+            score_split(X, labels, np.array([[0.0]]), ["a"],
+                        "classification", "accuracy", knn_k=k)
+    for task in ("classification", "regression"):
+        with pytest.raises(DataError, match="one label per train_X row"):
+            score_split(X, labels[:3], np.array([[0.0]]), ["a"], task,
+                        "accuracy", knn_k=1)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +295,52 @@ def test_cross_validate_flag_rules_fail_before_any_fit(monkeypatch):
         kfold_split(ds.ids, 1)
 
 
+def _numeric_labels(ds, bad=None):
+    return Dataset(tuple(
+        ts.with_annotations(label=bad if i == 3 and bad else str(i % 3))
+        for i, ts in enumerate(ds)))
+
+
+@pytest.mark.parametrize("case,error,message", [
+    (dict(task="regression", bad="nan"), DataError,
+     "series 's003': label 'nan' is not a finite number"),
+    (dict(task="regression", bad="inf"), DataError,
+     "series 's003': label 'inf' is not a finite number"),
+    (dict(task="regression", bad="-inf"), DataError,
+     "series 's003': label '-inf' is not a finite number"),
+    (dict(task="regression", ridge_lambda=float("nan")), UsageError,
+     "ridge_lambda to be a finite number >= 0, got nan"),
+    (dict(task="regression", ridge_lambda=-1.0), UsageError,
+     "ridge_lambda to be a finite number >= 0, got -1.0"),
+    (dict(task="regression", ridge_lambda=float("inf")), UsageError,
+     "ridge_lambda to be a finite number >= 0, got inf"),
+    (dict(task="classification", knn_k=16), DataError,
+     "knn_k=16 exceeds the smallest training split, 15 series"),
+    (dict(task="classification", metric="auc", knn_k=16), DataError,
+     "knn_k=16 exceeds the smallest training split, 15 series"),
+    (dict(task="classification", knn_k=8, k_grid=[3, 4], inner_folds=2),
+     DataError, "knn_k=8 exceeds the smallest training split, 7 series"),
+    (dict(task="classification", metric="auc", positive_label="\u00e9"),
+     DataError, "positive label '\u00e9' is carried by no series")],
+    ids=["label-nan", "label-inf", "label-minus-inf", "lambda-nan",
+         "lambda-negative", "lambda-inf", "knn-k-accuracy", "knn-k-auc",
+         "knn-k-inner-plan", "positive-label"])
+def test_cross_validate_rejects_before_any_fit(monkeypatch, case, error,
+                                               message):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_pipeline was called")
+
+    monkeypatch.setattr("pdbpe.evaluate.fit_pipeline", no_fit)
+    ds = _labeled_dataset(seed=22)
+    case = dict(case)
+    if case["task"] == "regression":
+        ds = _numeric_labels(ds, case.pop("bad", None))
+    plan = kfold_split(ds.ids, 4, seed=0)
+    with pytest.raises(error, match=re.escape(message)) as info:
+        cross_validate(ds, PipelineConfig(K=4, W=4), plan, **case)
+    assert info.type is error  # a UsageError is also a DataError
+
+
 @pytest.mark.parametrize("grouped", [False, True])
 def test_cross_validate_nested_grid_picks_per_fold(grouped):
     # With a K grid, each outer fold's config is the one grid_search picks on
@@ -301,6 +377,63 @@ def test_score_split_direct():
     acc = score_split(train_X, y_train, test_X, ["n", "p"],
                       "classification", "accuracy", knn_k=1)
     assert acc == 1.0
+
+
+# Fold values of a fixed run for each scoring path, as float.hex(). They were
+# recorded from the per-row k-NN predictors and the separate ridge fit and
+# predict functions that score_split replaced, and must not move.
+_PINNED_FOLDS = {
+    "accuracy": ["0x1.0000000000000p-1", "0x1.3333333333333p-1",
+                 "0x1.0000000000000p-1"],
+    "auc": ["0x1.ae147ae147ae1p-2", "0x1.a000000000000p-1",
+            "0x1.1555555555555p-1"],
+    "auc-positive-label": ["0x1.0a3d70a3d70a4p-2", "0x1.8000000000000p-3",
+                           "0x1.6186186186186p-1"],
+    "accuracy-three-classes": ["0x1.999999999999ap-4", "0x1.3333333333333p-2",
+                               "0x1.999999999999ap-2"],
+    "rmse-lambda-0.5": ["0x1.2fdc980577565p+0", "0x1.eb662f0dc413cp-1",
+                        "0x1.0362411e6893fp+0"],
+    "rmse-lambda-0": ["0x1.f273e0c035155p-1", "0x1.ca5196592d64cp-1",
+                      "0x1.446ddfff358bbp-1"],
+    "nested-k-grid": ["0x1.0000000000000p-1", "0x1.3333333333333p-2",
+                      "0x1.3333333333333p-1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_FOLDS))
+def test_cross_validate_fold_values_are_pinned(case):
+    ds, _ = motif_dataset(n_series=30, length=64, motif_len=8, amplitude=1.2,
+                          noise=0.6, missing_rate=0.0, seed=31)
+    three = Dataset(tuple(ts.with_annotations(label="\u00c7" if i % 3 == 2
+                                              else None)
+                          for i, ts in enumerate(ds)))
+    numeric = Dataset(tuple(
+        ts.with_annotations(label=str((i * 7) % 5 * 0.5 + (ts.label == "A")))
+        for i, ts in enumerate(ds)))
+    plan = kfold_split(ds.ids, 3, seed=1)
+    config = PipelineConfig(K=3, W=4)
+    few_columns = PipelineConfig(K=3, W=8, P=0.5,
+                                 variations=(Variation.ORIGINAL,))
+    runs = {
+        "accuracy": lambda: cross_validate(ds, config, plan, "classification",
+                                           knn_k=3),
+        "auc": lambda: cross_validate(ds, config, plan, "classification",
+                                      metric="auc", knn_k=4),
+        "auc-positive-label": lambda: cross_validate(
+            three, config, plan, "classification", metric="auc", knn_k=4,
+            positive_label="\u00c7"),
+        "accuracy-three-classes": lambda: cross_validate(
+            three, config, plan, "classification", knn_k=4),
+        "rmse-lambda-0.5": lambda: cross_validate(
+            numeric, config, plan, "regression", ridge_lambda=0.5),
+        "rmse-lambda-0": lambda: cross_validate(
+            numeric, few_columns, plan, "regression", ridge_lambda=0.0),
+        "nested-k-grid": lambda: cross_validate(
+            ds, config, plan, "classification", knn_k=3, k_grid=[3, 4],
+            inner_folds=2),
+    }
+    result = runs[case]()
+    assert [f.value.hex() for f in result.folds] == _PINNED_FOLDS[case]
 
 
 def test_grid_search_prefers_smallest_config_on_ties():

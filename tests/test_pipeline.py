@@ -261,10 +261,12 @@ def test_thread_count_does_not_change_output(monkeypatch):
 
 def test_fit_transform_and_cross_validate_never_import_numpy_ma():
     # numpy.ma costs every process milliseconds and RSS to import, and
-    # np.quantile and friends pull it in; a fresh interpreter shows it.
+    # np.quantile and friends pull it in; a fresh interpreter shows it. numpy
+    # is the only runtime dependency, so the test-only packages must not be
+    # imported either.
     script = textwrap.dedent("""
         import sys
-        from pdbpe import PipelineConfig, fit_pipeline, transform_dataset
+        from pdbpe import Dataset, PipelineConfig, fit_pipeline, transform_dataset
         from pdbpe.evaluate import cross_validate, kfold_split
         from synth import motif_dataset
 
@@ -272,9 +274,15 @@ def test_fit_transform_and_cross_validate_never_import_numpy_ma():
         config = PipelineConfig(K=4, W=2)
         model, _ = fit_pipeline(ds, config)
         transform_dataset(model, ds)
-        cross_validate(ds, config, kfold_split(ds.ids, 2, seed=0),
-                       task="classification")
-        assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+        plan = kfold_split(ds.ids, 2, seed=0)
+        for metric in ("accuracy", "auc"):
+            cross_validate(ds, config, plan, task="classification",
+                           metric=metric)
+        numeric = Dataset(tuple(ts.with_annotations(label=str(i % 3))
+                                for i, ts in enumerate(ds)))
+        cross_validate(numeric, config, plan, task="regression")
+        for name in ("numpy.ma", "scipy", "hypothesis", "pytest"):
+            assert name not in sys.modules, f"{name} was imported"
     """)
     paths = [os.path.dirname(os.path.dirname(pdbpe.__file__)),
              os.path.dirname(__file__)]
