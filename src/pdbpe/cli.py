@@ -105,7 +105,7 @@ def _build_config(args) -> PipelineConfig:
     return PipelineConfig(**fields)
 
 
-def _add_config_flags(sub, with_kw: bool = True) -> None:
+def _add_config_flags(sub) -> None:
     sub.add_argument("--config", help="flat key=value config file")
     sub.add_argument("--k", type=int, default=None, help="alphabet size K (2..100)")
     sub.add_argument("--w", type=int, default=None, help="PAA window W (1..15)")
@@ -125,11 +125,13 @@ def _add_config_flags(sub, with_kw: bool = True) -> None:
 
 
 def _read_dataset(args) -> Dataset:
+    min_observed = args.min_observed
+    if min_observed < 0:
+        raise UsageError(f"--min-observed must be >= 0, got {min_observed}")
     dataset = read_data_csv(args.data)
     labels_path = getattr(args, "labels", None)
     if labels_path:
         dataset = attach_labels(dataset, read_labels_csv(labels_path))
-    min_observed = getattr(args, "min_observed", 0) or 0
     before = len(dataset)
     if min_observed > 0:
         dataset = ingest_filter(dataset, min_observed)
@@ -225,6 +227,11 @@ def cmd_inspect(args) -> int:
     model = load_model(args.model)
     config = model.config
     final_cols = model.schema.final_columns()
+    longest = config.W * max((len(c.decoded) for c in final_cols), default=1)
+    if not 0 < args.period_minutes * longest < np.inf:
+        raise UsageError(f"--period-minutes must be a finite number > 0 that "
+                         f"keeps every duration finite, got "
+                         f"{args.period_minutes!r}")
     print(f"model: K={config.K} W={config.W} "
           f"variations={','.join(v.value for v in config.variations)} "
           f"mode={config.multivariate_mode.value}")
@@ -402,7 +409,7 @@ def build_parser() -> _Parser:
                      description="Pattern-vocabulary features for time series")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("discover", parents=[], help="fit a model on a dataset")
+    p = sub.add_parser("discover", help="fit a model on a dataset")
     p.add_argument("--data", required=True, help="long-format data CSV")
     p.add_argument("--labels", default=None,
                    help="series_id,label[,group_id] CSV (group ids enable --centroids)")

@@ -79,14 +79,20 @@ def fit_discretizer(values, K: int, iqr_multiplier: float = 1.5) -> Discretizer:
     if not (np.isfinite(lower) and np.isfinite(upper)):
         raise NumericError("values too large to discretize: fences overflow")
     in_fence = values[(values >= lower) & (values <= upper)]
+    if in_fence.size == 0:
+        raise NumericError(f"no value lies inside the outlier fences "
+                           f"[{lower:.6g}, {upper:.6g}]")
     lo, hi = float(in_fence.min()), float(in_fence.max())
     if not lo < hi:
         raise NumericError(
             f"discretizer needs at least 2 distinct in-fence values; "
             f"fenced range is [{lo:.6g}, {hi:.6g}]")
-    if not np.isfinite(hi - lo):
+    # Near the float limit linspace can overflow in a step product whose
+    # edge it then replaces, or in hi - lo itself; only the edges count.
+    with np.errstate(over="ignore", invalid="ignore"):
+        edges = np.linspace(lo, hi, K + 1)
+    if not np.all(np.isfinite(edges)):
         raise NumericError("values too large to discretize: edges overflow")
-    edges = np.linspace(lo, hi, K + 1)
     return Discretizer(K=K, lower_fence=float(lower), upper_fence=float(upper),
                        edges=edges)
 

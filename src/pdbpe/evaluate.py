@@ -1,5 +1,5 @@
 """Cross-validation harness: fold planning, simple predictors, metrics,
-and deterministic hyperparameter grid search.
+and nested (K, W) selection.
 
 Every fold refits the entire pipeline on its training rows only, so no
 discretization, vocabulary, or pruning state leaks across the split.
@@ -28,9 +28,6 @@ class CvPlan:
     seed: int
     assignment: dict[str, int]
     group_aware: bool = False
-
-    def fold_ids(self, fold: int) -> list[str]:
-        return [sid for sid, f in self.assignment.items() if f == fold]
 
 
 def kfold_split(ids: Sequence[str], k: int, seed: int = 0,
@@ -249,6 +246,20 @@ def score_split(train_X, y_train, test_X, y_test, task: str, metric: str,
     return auc_roc(np.array([lab == pos for lab in y_test]), hits / knn_k)
 
 
+def _splits(dataset: Dataset, plan: CvPlan) -> list[tuple[Dataset, Dataset]]:
+    """The (train, test) datasets of each fold of plan, in fold order."""
+    splits = []
+    for fold in range(plan.k):
+        train = Dataset(tuple(ts for ts in dataset
+                              if plan.assignment[ts.id] != fold))
+        test = Dataset(tuple(ts for ts in dataset
+                             if plan.assignment[ts.id] == fold))
+        if len(train) == 0 or len(test) == 0:
+            raise DataError(f"fold {fold} leaves an empty train or test split")
+        splits.append((train, test))
+    return splits
+
+
 def cross_validate(dataset: Dataset, config: PipelineConfig, plan: CvPlan,
                    task: str, metric: str | None = None, knn_k: int = 5,
                    ridge_lambda: float = 1.0, positive_label: str | None = None,
@@ -261,17 +272,20 @@ def cross_validate(dataset: Dataset, config: PipelineConfig, plan: CvPlan,
     or auc). Raised before any fold is fitted: a UsageError for another
     task, a metric the task cannot use, a knn_k below 1 for classification
     or a ridge_lambda that is not a finite number >= 0 for regression; a
-    DataError for a knn_k above the smallest training split of the plan or
-    of an inner plan, or an auc positive_label that no series carries.
+    DataError for a (K, W) grid point that PipelineConfig rejects, a knn_k
+    above the smallest training split of the plan or of an inner plan, or an
+    auc positive_label that no series carries.
     The fitted state per fold depends only on that fold's training rows;
     fingerprints of the fitted models are recorded so tests can verify the
     separation.
 
     k_grid and w_grid default to config's K and W. When they hold more than
-    one (K, W) point, each fold picks its config by grid_search on an inner
-    plan over its training rows: inner_folds folds, seed plan.seed + 101 +
-    fold, grouped by each series' group_id when plan is group-aware; an
-    inner_folds below 2 is then a UsageError.
+    one (K, W) point, each fold is fitted with the point of best mean score
+    on an inner plan over its training rows: inner_folds folds, seed
+    plan.seed + 101 + fold, grouped by each series' group_id when plan is
+    group-aware; an inner_folds below 2 is then a UsageError. Regression
+    minimizes rmse, classification maximizes accuracy or auc, and ties go to
+    the smaller K, then the smaller W.
     Each FoldResult.config records the config the fold was fitted with.
     """
     if task not in ("regression", "classification"):
@@ -285,9 +299,9 @@ def cross_validate(dataset: Dataset, config: PipelineConfig, plan: CvPlan,
     if stray:
         raise DataError(f"plan and dataset disagree on series ids: {stray[:3]}")
     labels = dict(zip(dataset.ids, _series_labels(dataset, task)))
-    k_grid = list(k_grid or [config.K])
-    w_grid = list(w_grid or [config.W])
-    nested = len(set(k_grid)) > 1 or len(set(w_grid)) > 1
+    k_grid = sorted(set(k_grid or [config.K]))
+    w_grid = sorted(set(w_grid or [config.W]))
+    nested = len(k_grid) * len(w_grid) > 1
     if nested and inner_folds < 2:
         raise UsageError(f"a grid of more than one (K, W) point needs "
                          f"inner_folds of at least 2, got {inner_folds}")
@@ -299,88 +313,45 @@ def cross_validate(dataset: Dataset, config: PipelineConfig, plan: CvPlan,
     if metric == "auc" and positive_label not in (None, *labels.values()):
         raise DataError(f"auc positive label {positive_label!r} is carried by "
                         f"no series")
-    if not nested:
-        config = replace(config, K=k_grid[0], W=w_grid[0])
-    splits = []
-    for fold in range(plan.k):
-        train = Dataset(tuple(ts for ts in dataset
-                              if plan.assignment[ts.id] != fold))
-        test = Dataset(tuple(ts for ts in dataset
-                             if plan.assignment[ts.id] == fold))
-        if len(train) == 0 or len(test) == 0:
-            raise DataError(f"fold {fold} leaves an empty train or test split")
-        groups = [ts.group_id for ts in train] if plan.group_aware else None
-        splits.append((train, test, kfold_split(
-            train.ids, inner_folds, seed=plan.seed + 101 + fold,
-            group_ids=groups) if nested else None))
+    points = [replace(config, K=K, W=W) for K in k_grid for W in w_grid]
+    splits = _splits(dataset, plan)
+    inner_plans = [kfold_split(train.ids, inner_folds,
+                               seed=plan.seed + 101 + fold,
+                               group_ids=[ts.group_id for ts in train]
+                               if plan.group_aware else None)
+                   for fold, (train, _test) in enumerate(splits) if nested]
     if task == "classification":
-        for each in [plan] + [inner for *_, inner in splits if inner]:
+        for each in [plan, *inner_plans]:
             sizes = Counter(each.assignment.values()).values()
             smallest = len(each.assignment) - max(sizes)
             if knn_k > smallest:
                 raise DataError(f"knn_k={knn_k} exceeds the smallest training "
                                 f"split, {smallest} series")
+
+    def fit_and_score(train: Dataset, test: Dataset, point: PipelineConfig):
+        model, train_matrix = fit_pipeline(train, point, centroids=centroids)
+        value = score_split(
+            train_matrix.values, [labels[sid] for sid in train.ids],
+            transform_dataset(model, test).values,
+            [labels[sid] for sid in test.ids], task, metric, knn_k=knn_k,
+            ridge_lambda=ridge_lambda, positive_label=positive_label)
+        return float(value), model, len(train_matrix.names)
+
     folds: list[FoldResult] = []
-    for fold, (train, test, inner_plan) in enumerate(splits):
-        fold_config = config
+    for fold, (train, test) in enumerate(splits):
+        fold_config = points[0]
         if nested:
-            fold_config, _table = grid_search(
-                train, k_grid, w_grid, inner_plan, task, config, metric=metric,
-                knn_k=knn_k, ridge_lambda=ridge_lambda,
-                positive_label=positive_label, centroids=centroids)
-        model, train_matrix = fit_pipeline(train, fold_config,
-                                           centroids=centroids)
-        test_matrix = transform_dataset(model, test)
-        y_train = [labels[sid] for sid in train.ids]
-        y_test = [labels[sid] for sid in test.ids]
-        value = score_split(train_matrix.values, y_train, test_matrix.values,
-                            y_test, task, metric, knn_k=knn_k,
-                            ridge_lambda=ridge_lambda,
-                            positive_label=positive_label)
+            inner_splits = _splits(train, inner_plans[fold])
+            means = [float(np.mean([fit_and_score(*split, point)[0]
+                                    for split in inner_splits]))
+                     for point in points]
+            best = min(means) if task == "regression" else max(means)
+            fold_config = points[means.index(best)]
+        value, model, n_features = fit_and_score(train, test, fold_config)
         identified, emitted = model.pattern_counts()
         folds.append(FoldResult(
             fold=fold, n_train=len(train), n_test=len(test), metric=metric,
-            value=float(value), config=fold_config,
-            n_features=len(train_matrix.names),
+            value=value, config=fold_config, n_features=n_features,
             n_patterns_identified=identified, n_patterns_emitted=emitted,
             model_fingerprint=fingerprint_model(model)))
     return CvResult(metric=metric, folds=folds)
-
-
-@dataclass
-class GridPoint:
-    K: int
-    W: int
-    mean_value: float
-
-
-def grid_search(dataset: Dataset, k_grid: Sequence[int], w_grid: Sequence[int],
-                plan: CvPlan, task: str, base_config: PipelineConfig,
-                metric: str | None = None, knn_k: int = 5,
-                ridge_lambda: float = 1.0, positive_label: str | None = None,
-                centroids: bool = False) -> tuple[PipelineConfig, list[GridPoint]]:
-    """Exhaustive (K, W) search scored by cross-validation on the given plan.
-
-    Regression minimizes rmse; classification maximizes accuracy/auc. Ties
-    prefer the smaller K, then the smaller W (the grid is walked in ascending
-    order and only strict improvements replace the incumbent).
-    """
-    if not k_grid or not w_grid:
-        raise DataError("grid_search: empty grid")
-    best_config: PipelineConfig | None = None
-    best_score = -np.inf
-    table: list[GridPoint] = []
-    for K in sorted(set(int(k) for k in k_grid)):
-        for W in sorted(set(int(w) for w in w_grid)):
-            config = replace(base_config, K=K, W=W)
-            result = cross_validate(dataset, config, plan, task, metric=metric,
-                                    knn_k=knn_k, ridge_lambda=ridge_lambda,
-                                    positive_label=positive_label,
-                                    centroids=centroids)
-            score = -result.mean if task == "regression" else result.mean
-            table.append(GridPoint(K=K, W=W, mean_value=result.mean))
-            if score > best_score:
-                best_score = score
-                best_config = config
-    assert best_config is not None
-    return best_config, table

@@ -147,6 +147,52 @@ def test_constant_data_is_numeric_error(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+def test_outlier_fences_holding_no_value_are_numeric_error(tmp_path, capsys):
+    # z-normalized to [-1, 1], the values get fences [-0.6, 0.6] at 0.1 IQR.
+    data = tmp_path / "two.csv"
+    data.write_text("series_id,channel,t,value\na,x,0,1.0\na,x,1,3.0\n")
+    code = main(["discover", "--data", str(data), "--k", "2", "--w", "1",
+                 "--iqr-multiplier", "0.1",
+                 "--model-out", str(tmp_path / "m.json"),
+                 "--features-out", str(tmp_path / "f.csv")])
+    assert code == 3
+    assert ("pdbpe: numeric error: no value lies inside the outlier fences "
+            "[-0.6, 0.6]") in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("period", ["nan", "-5", "0", "1e308"])
+def test_inspect_period_minutes_must_give_finite_positive_durations(
+        tmp_path, capsys, period):
+    data, _ = _write_motif_corpus(tmp_path)
+    model_path = str(tmp_path / "m.json")
+    assert main(["discover", "--data", data, "--k", "4", "--w", "3",
+                 "--model-out", model_path,
+                 "--features-out", str(tmp_path / "f.csv")]) == 0
+    capsys.readouterr()
+    assert main(["inspect", "--model", model_path,
+                 "--period-minutes", period]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("pdbpe: error: --period-minutes must be a finite "
+                          "number > 0")
+
+
+@pytest.mark.parametrize("command", ["discover", "evaluate"])
+def test_negative_min_observed_is_usage_error(tmp_path, capsys, command):
+    data, labels = _write_motif_corpus(tmp_path)
+    outputs = (["--model-out", str(tmp_path / "m.json"),
+                "--features-out", str(tmp_path / "f.csv")]
+               if command == "discover"
+               else ["--labels", labels,
+                     "--report-out", str(tmp_path / "r.txt")])
+    assert main([command, "--data", data, "--k", "4", "--w", "3",
+                 "--min-observed", "-3"] + outputs) == 1
+    assert capsys.readouterr().err == \
+        "pdbpe: error: --min-observed must be >= 0, got -3\n"
+    assert not any(tmp_path.glob("[mfr].*"))
+
+
 def test_inspect_top_patterns_and_spans(tmp_path, capsys):
     data, labels = _write_motif_corpus(tmp_path)
     model_path, feats_path = str(tmp_path / "m.json"), str(tmp_path / "f.csv")

@@ -1,5 +1,7 @@
 """Equal-width binning with IQR outlier fencing."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -155,15 +157,20 @@ def _fit_with_np_quantile(values, K, iqr_multiplier):
     if not (np.isfinite(lower) and np.isfinite(upper)):
         raise NumericError("values too large to discretize: fences overflow")
     in_fence = values[(values >= lower) & (values <= upper)]
+    if in_fence.size == 0:
+        raise NumericError(f"no value lies inside the outlier fences "
+                           f"[{lower:.6g}, {upper:.6g}]")
     lo, hi = float(in_fence.min()), float(in_fence.max())
     if not lo < hi:
         raise NumericError(
             f"discretizer needs at least 2 distinct in-fence values; "
             f"fenced range is [{lo:.6g}, {hi:.6g}]")
-    if not np.isfinite(hi - lo):
+    with np.errstate(over="ignore", invalid="ignore"):
+        edges = np.linspace(lo, hi, K + 1)
+    if not np.all(np.isfinite(edges)):
         raise NumericError("values too large to discretize: edges overflow")
     return Discretizer(K=K, lower_fence=float(lower), upper_fence=float(upper),
-                       edges=np.linspace(lo, hi, K + 1))
+                       edges=edges)
 
 
 def _outcome(fit, values, K, iqr_multiplier):
@@ -184,6 +191,9 @@ def _outcome(fit, values, K, iqr_multiplier):
 @example(values=[0.0, -0.0, -0.0, 0.0, 1.0], K=2, iqr_multiplier=0.0)
 @example(values=[-_MAX, _MAX], K=2, iqr_multiplier=1.5)
 @example(values=[-1e308, 0.0, 1e308, 1e308, -1e308], K=3, iqr_multiplier=1.5)
+@example(values=[0.0, 10.0], K=3, iqr_multiplier=0.0)
+@example(values=[-_MAX / 2, -_MAX / 2, _MAX / 2, _MAX / 2], K=3,
+         iqr_multiplier=0.0)
 def test_quartiles_match_np_quantile_bit_for_bit(values, K, iqr_multiplier):
     values = np.array(values)
     with np.errstate(all="ignore"):
@@ -202,3 +212,22 @@ def test_quartiles_match_np_quantile_bit_for_bit(values, K, iqr_multiplier):
 def test_overflowing_pool_is_numeric_error(values, what):
     with pytest.raises(NumericError, match=f"values too large .*{what}"):
         fit_discretizer(values, 3)
+
+
+def test_fences_holding_no_value_are_numeric_error():
+    # Q1 = 2.5 and Q3 = 7.5, so fences at 0.1 IQR are [2, 8]: both values
+    # lie outside them.
+    with pytest.raises(NumericError,
+                       match=re.escape("no value lies inside the outlier "
+                                       "fences [2, 8]")):
+        fit_discretizer([0.0, 10.0], 3, 0.1)
+
+
+@pytest.mark.parametrize("K", [2, 3, 7, 10])
+def test_range_near_float_limit_fits_without_overflow_warning(K):
+    # For K = 3 and 7, linspace's last step product overflows before it
+    # sets the last edge to hi; pyproject.toml makes that warning an error.
+    half = _MAX / 2
+    disc = fit_discretizer([-half, -half, half, half], K, 1e-4)
+    assert disc.edges[0] == -half and disc.edges[-1] == half
+    assert np.all(np.isfinite(disc.edges))

@@ -2,6 +2,8 @@
 
 import random
 import re
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ import pytest
 from pdbpe import (DataError, Dataset, NumericError, PipelineConfig,
                    TimeSeries, UsageError, cross_validate)
 from pdbpe.core import Variation
-from pdbpe.evaluate import (accuracy, auc_roc, grid_search, kfold_split,
-                            ridge_fit_predict, rmse, score_split)
+from pdbpe.evaluate import (accuracy, auc_roc, kfold_split, ridge_fit_predict,
+                            rmse, score_split)
 from synth import motif_dataset, random_dataset
 
 
@@ -22,7 +24,7 @@ def test_kfold_deterministic_and_balanced():
     plan_a = kfold_split(ids, 5, seed=3)
     plan_b = kfold_split(ids, 5, seed=3)
     assert plan_a.assignment == plan_b.assignment
-    sizes = [len(plan_a.fold_ids(f)) for f in range(5)]
+    sizes = list(Counter(plan_a.assignment.values()).values())
     assert max(sizes) - min(sizes) <= 1
     assert sum(sizes) == 23
     plan_c = kfold_split(ids, 5, seed=4)
@@ -321,10 +323,15 @@ def _numeric_labels(ds, bad=None):
     (dict(task="classification", knn_k=8, k_grid=[3, 4], inner_folds=2),
      DataError, "knn_k=8 exceeds the smallest training split, 7 series"),
     (dict(task="classification", metric="auc", positive_label="\u00e9"),
-     DataError, "positive label '\u00e9' is carried by no series")],
+     DataError, "positive label '\u00e9' is carried by no series"),
+    (dict(task="classification", k_grid=[3, 4.5]), DataError,
+     "K must be an integer"),
+    (dict(task="classification", w_grid=[4, 16]), DataError,
+     "W must be in [1, 15], got 16")],
     ids=["label-nan", "label-inf", "label-minus-inf", "lambda-nan",
          "lambda-negative", "lambda-inf", "knn-k-accuracy", "knn-k-auc",
-         "knn-k-inner-plan", "positive-label"])
+         "knn-k-inner-plan", "positive-label", "grid-k-not-integer",
+         "grid-w-out-of-range"])
 def test_cross_validate_rejects_before_any_fit(monkeypatch, case, error,
                                                message):
     def no_fit(*args, **kwargs):
@@ -341,12 +348,29 @@ def test_cross_validate_rejects_before_any_fit(monkeypatch, case, error,
     assert info.type is error  # a UsageError is also a DataError
 
 
+def _oracle_pick(train, inner, points, task, **kwargs):
+    """The grid point with the best mean inner score, the first on ties, and
+    every point's mean, from one plain cross_validate run per point."""
+    means = [cross_validate(train, point, inner, task, **kwargs).mean
+             for point in points]
+    best = min(means) if task == "regression" else max(means)
+    return points[means.index(best)], means
+
+
+def _inner_plan(ds, plan, fold, inner_folds, grouped):
+    train = Dataset(tuple(ts for ts in ds if plan.assignment[ts.id] != fold))
+    return train, kfold_split(train.ids, inner_folds,
+                              seed=plan.seed + 101 + fold,
+                              group_ids=[ts.group_id for ts in train]
+                              if grouped else None)
+
+
 @pytest.mark.parametrize("grouped", [False, True])
 def test_cross_validate_nested_grid_picks_per_fold(grouped):
-    # With a K grid, each outer fold's config is the one grid_search picks on
-    # an inner plan over that fold's training rows (seed plan.seed + 101 +
-    # fold, group-aware when the outer plan is), and the fold is fitted with
-    # it.
+    # With a K grid, each outer fold's config is the grid point with the best
+    # mean score on an inner plan over that fold's training rows (seed
+    # plan.seed + 101 + fold, group-aware when the outer plan is), and the
+    # fold is fitted with it.
     ds = _labeled_dataset(seed=23, n=18)
     if grouped:
         ds = Dataset(tuple(ts.with_annotations(group_id=f"g{i // 2}")
@@ -358,16 +382,39 @@ def test_cross_validate_nested_grid_picks_per_fold(grouped):
                             k_grid=[3, 4], inner_folds=2)
     assert len(result.folds) == 3
     assert {f.config.K for f in result.folds} == {3, 4}
+    points = [replace(base, K=3), replace(base, K=4)]
     for f in result.folds:
-        assert (f.config.K, f.config.W) in {(3, 4), (4, 4)}
-        train = Dataset(tuple(ts for ts in ds
-                              if plan.assignment[ts.id] != f.fold))
-        inner = kfold_split(train.ids, 2, seed=plan.seed + 101 + f.fold,
-                            group_ids=[ts.group_id for ts in train]
-                            if grouped else None)
-        expected, _ = grid_search(train, [3, 4], [4], inner, "classification",
-                                  base, knn_k=3)
+        train, inner = _inner_plan(ds, plan, f.fold, 2, grouped)
+        expected, _ = _oracle_pick(train, inner, points, "classification",
+                                   knn_k=3)
         assert f.config == expected
+
+
+def test_cross_validate_prefers_smallest_config_on_ties():
+    # Trivially separable shapes (levels are erased by per-series
+    # normalization): every grid point scores accuracy 1.0 on every inner
+    # plan, so each fold keeps the smallest K, then the smallest W, however
+    # the grids are ordered.
+    t = np.arange(48)
+    square = np.where(t % 8 < 4, 1.0, -1.0)
+    ramp = t / 48.0
+    series = []
+    for i in range(12):
+        vals = square if i % 2 == 0 else ramp
+        label = "square" if i % 2 == 0 else "ramp"
+        series.append(TimeSeries.univariate(f"s{i}", vals, label=label))
+    ds = Dataset(tuple(series))
+    plan = kfold_split(ds.ids, 3, seed=5)
+    base = PipelineConfig(K=4, W=2)
+    result = cross_validate(ds, base, plan, "classification", knn_k=1,
+                            k_grid=[6, 4, 6], w_grid=[4, 2], inner_folds=2)
+    assert [(f.config.K, f.config.W) for f in result.folds] == [(4, 2)] * 3
+    points = [replace(base, K=K, W=W) for K in (4, 6) for W in (2, 4)]
+    for f in result.folds:
+        train, inner = _inner_plan(ds, plan, f.fold, 2, False)
+        _, means = _oracle_pick(train, inner, points, "classification",
+                                knn_k=1)
+        assert means == [1.0] * 4
 
 
 def test_score_split_direct():
@@ -395,8 +442,17 @@ _PINNED_FOLDS = {
                         "0x1.0362411e6893fp+0"],
     "rmse-lambda-0": ["0x1.f273e0c035155p-1", "0x1.ca5196592d64cp-1",
                       "0x1.446ddfff358bbp-1"],
-    "nested-k-grid": ["0x1.0000000000000p-1", "0x1.3333333333333p-2",
-                      "0x1.3333333333333p-1"],
+    # Nested runs pin each fold's chosen (K, W) with its value, as the
+    # recursive grid search before the one fold loop chose them.
+    "nested-k-grid": [(3, 4, "0x1.0000000000000p-1"),
+                      (4, 4, "0x1.3333333333333p-2"),
+                      (4, 4, "0x1.3333333333333p-1")],
+    "nested-rmse-grid": [(3, 4, "0x1.2fdc980577565p+0"),
+                         (3, 8, "0x1.90cd194a4777ap+0"),
+                         (5, 4, "0x1.082457563b3dep+0")],
+    "nested-auc-w-grid": [(3, 8, "0x1.c28f5c28f5c29p-1"),
+                          (3, 2, "0x1.2000000000000p-1"),
+                          (3, 2, "0x1.3555555555555p-1")],
 }
 
 
@@ -431,29 +487,15 @@ def test_cross_validate_fold_values_are_pinned(case):
         "nested-k-grid": lambda: cross_validate(
             ds, config, plan, "classification", knn_k=3, k_grid=[3, 4],
             inner_folds=2),
+        "nested-rmse-grid": lambda: cross_validate(
+            numeric, config, plan, "regression", ridge_lambda=0.5,
+            k_grid=[3, 5], w_grid=[4, 8], inner_folds=2),
+        "nested-auc-w-grid": lambda: cross_validate(
+            ds, config, plan, "classification", metric="auc", knn_k=4,
+            w_grid=[2, 4, 8], inner_folds=2),
     }
     result = runs[case]()
-    assert [f.value.hex() for f in result.folds] == _PINNED_FOLDS[case]
-
-
-def test_grid_search_prefers_smallest_config_on_ties():
-    # Trivially separable shapes (levels are erased by per-series
-    # normalization): every grid point scores accuracy 1.0, so the ascending
-    # walk with strict improvement keeps (K, W) minimal.
-    t = np.arange(48)
-    square = np.where(t % 8 < 4, 1.0, -1.0)
-    ramp = t / 48.0
-    series = []
-    for i in range(12):
-        vals = square if i % 2 == 0 else ramp
-        label = "square" if i % 2 == 0 else "ramp"
-        series.append(TimeSeries.univariate(f"s{i}", vals, label=label))
-    ds = Dataset(tuple(series))
-    plan = kfold_split(ds.ids, 3, seed=5)
-    best, table = grid_search(ds, [4, 6], [2, 4], plan, "classification",
-                              PipelineConfig(K=4, W=2), knn_k=1)
-    assert [p.mean_value for p in table] == [1.0] * 4
-    assert (best.K, best.W) == (4, 2)
-    assert len(table) == 4
-    # Grid points are visited in ascending (K, W) order.
-    assert [(p.K, p.W) for p in table] == [(4, 2), (4, 4), (6, 2), (6, 4)]
+    got = [f.value.hex() for f in result.folds]
+    if case.startswith("nested"):
+        got = [(f.config.K, f.config.W, v) for f, v in zip(result.folds, got)]
+    assert got == _PINNED_FOLDS[case]
