@@ -25,7 +25,6 @@ corpus; fit_bpe explains why the bounds stay valid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -103,8 +102,7 @@ class Corpus:
 
     tokens holds every series' tokens end to end and series[i] is the index
     of the series token i belongs to, non-decreasing; n_series counts the
-    series, empty ones included. A Corpus is not iterable: from_sequences
-    and sequences are the only conversions from and to per-series lists.
+    series, empty ones included. A Corpus is not iterable.
     """
 
     tokens: np.ndarray
@@ -122,27 +120,6 @@ class Corpus:
                 or sid.size and not 0 <= sid[0] <= sid[-1] < self.n_series):
             raise DataError(f"corpus needs one series index per token, "
                             f"non-decreasing in [0, {self.n_series})")
-
-    @classmethod
-    def from_sequences(cls, sequences: Iterable[Sequence[int]]) -> Corpus:
-        """Corpus of per-series symbol lists; a symbol beyond int64 is a
-        DataError."""
-        seqs = list(sequences)
-        try:
-            parts = [np.asarray(seq, dtype=np.int64) for seq in seqs]
-        except OverflowError:
-            bad = next(int(x) for seq in seqs for x in seq
-                       if not -2**63 <= int(x) < 2**63)
-            raise DataError(f"symbol {bad} outside the int64 range") from None
-        tokens = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-        series = np.repeat(np.arange(len(parts)), [p.size for p in parts])
-        return cls(tokens, series, len(parts))
-
-    def sequences(self) -> list[list[int]]:
-        """Per-series token lists."""
-        ends = np.cumsum(self.lengths()).tolist()
-        flat = self.tokens.tolist()
-        return [flat[a:b] for a, b in zip([0] + ends, ends)]
 
     def lengths(self) -> np.ndarray:
         """Token count per series."""

@@ -224,6 +224,10 @@ def _value_ranges(model: FittedModel, desc) -> str:
 
 
 def cmd_inspect(args) -> int:
+    if args.labels and not args.features:
+        raise UsageError("ranking needs --features together with --labels")
+    if args.spans_out and not args.data:
+        raise UsageError("--spans-out needs --data to locate occurrences")
     model = load_model(args.model)
     config = model.config
     final_cols = model.schema.final_columns()
@@ -257,8 +261,6 @@ def cmd_inspect(args) -> int:
     by_name = {c.name: c for c in final_cols}
     ranked: list[tuple[str, float | None]]
     if args.labels:
-        if not args.features:
-            raise UsageError("ranking needs --features together with --labels")
         matrix = read_features_csv(args.features)
         labels = read_labels_csv(args.labels)
         rows = [i for i, sid in enumerate(matrix.ids) if sid in labels]
@@ -304,8 +306,6 @@ def cmd_inspect(args) -> int:
                             fh.write(csv_row([desc.name, sid, str(lo),
                                               str(hi)]))
             print(f"wrote spans to {args.spans_out}")
-    elif args.spans_out:
-        raise UsageError("--spans-out needs --data to locate occurrences")
     return 0
 
 

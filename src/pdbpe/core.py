@@ -89,6 +89,9 @@ class TimeSeries:
         if len(channels) != values.shape[1] or not channels:
             raise DataError(f"series {self.id!r}: {len(channels)} channel names "
                             f"for {values.shape[1]} value columns")
+        if len(set(channels)) != len(channels):
+            raise DataError(f"series {self.id!r}: channel names {channels} "
+                            f"are not distinct")
         if self.mask is None:
             mask = np.ones(values.shape, dtype=bool)
         else:

@@ -1,8 +1,9 @@
 """End-to-end model fitting and application.
 
-Fitting: normalize each series, aggregate with PAA, fit dataset-level bin
-edges per mined channel, derive the configured variations, and learn one
-merge vocabulary per (channel, variation). Features are the length-normalized
+Fit, transform and spans share one front half, _symbols: per-series
+z-normalization (or whitening and collapse) and PAA, then dataset-level bin
+edges per mined channel, fitted on its pooled streams. Fit learns one merge
+vocabulary per (channel, variation). Features are the length-normalized
 occurrence counts of base symbols and supported patterns in each series'
 final token stream, pruned of zero-variance and highly correlated columns.
 """
@@ -14,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import (Dataset, MultivariateMode, PipelineConfig, TimeSeries,
+from .core import (Dataset, MultivariateMode, PipelineConfig,
                    Variation, require_group_ids)
 from .discretize import Discretizer, apply_discretizer, fit_discretizer
 from .errors import DataError, NumericError
@@ -71,33 +72,36 @@ def mined_channels_of(channels: tuple[str, ...],
     return channels
 
 
-def _paa_streams(ts: TimeSeries, config: PipelineConfig) -> dict[str, np.ndarray]:
-    """Normalized, PAA-aggregated value stream per mined channel."""
-    out: dict[str, np.ndarray] = {}
-    try:
-        if config.multivariate_mode is MultivariateMode.WHITEN_COLLAPSE:
-            collapsed = collapse_series(ts.values, ts.mask)
-            out[COLLAPSED_CHANNEL] = paa(collapsed, config.W)
-        else:
-            for j, ch in enumerate(ts.channels):
-                normalized = zscore_normalize(ts.values[:, j], ts.mask[:, j])
-                out[ch] = paa(normalized, config.W)
-    except NumericError as exc:
-        raise NumericError(f"series {ts.id!r}: {exc}") from None
-    return out
-
-
-def _symbols(streams: list[dict[str, np.ndarray]], mined: tuple[str, ...],
-             discretizers: dict[str, Discretizer]) -> dict[str, Corpus]:
-    """Base-symbol corpus of every series per mined channel."""
-    out = {}
-    for ch in mined:
-        parts = [s[ch] for s in streams]
-        series = np.repeat(np.arange(len(parts)), [p.size for p in parts])
-        out[ch] = Corpus(apply_discretizer(np.concatenate(parts),
-                                           discretizers[ch]),
-                         series, len(parts))
-    return out
+def _symbols(dataset: Dataset, config: PipelineConfig,
+             channels: tuple[str, ...],
+             discretizers: dict[str, Discretizer] | None = None
+             ) -> tuple[dict[str, Corpus], dict[str, Discretizer]]:
+    """Base-symbol corpus of every series per mined channel, and the
+    discretizers, fitted on each channel's pooled PAA streams when none are
+    given. Each series' columns are read in the order of channels."""
+    mined = mined_channels_of(channels, config.multivariate_mode)
+    cols = [dataset.channels.index(ch) for ch in channels]
+    parts: list[list[np.ndarray]] = [[] for _ in mined]
+    for ts in dataset:
+        try:
+            if config.multivariate_mode is MultivariateMode.WHITEN_COLLAPSE:
+                collapsed = collapse_series(ts.values.take(cols, axis=1),
+                                            ts.mask.take(cols, axis=1))
+                parts[0].append(paa(collapsed, config.W))
+            else:
+                for part, j in zip(parts, cols):
+                    normalized = zscore_normalize(ts.values[:, j], ts.mask[:, j])
+                    part.append(paa(normalized, config.W))
+        except NumericError as exc:
+            raise NumericError(f"series {ts.id!r}: {exc}") from None
+    pools = [np.concatenate(part) for part in parts]
+    if discretizers is None:
+        discretizers = {ch: fit_discretizer(pool, config.K, config.iqr_multiplier)
+                        for ch, pool in zip(mined, pools)}
+    series = np.repeat(np.arange(len(dataset)), [p.size for p in parts[0]])
+    return ({ch: Corpus(apply_discretizer(pool, discretizers[ch]), series,
+                        len(dataset))
+             for ch, pool in zip(mined, pools)}, discretizers)
 
 
 def _views(symbols: dict[str, Corpus], config: PipelineConfig,
@@ -109,28 +113,17 @@ def _views(symbols: dict[str, Corpus], config: PipelineConfig,
             yield (ch, variation), view(corpus, variation, medians[ch], config.K)[0]
 
 
-def _align_channels(dataset: Dataset, channels: tuple[str, ...]) -> Dataset:
-    """Reorder dataset channels to match a model's layout; the channel set
-    must be identical."""
+def _check_channels(dataset: Dataset, channels: tuple[str, ...]) -> None:
+    """A dataset to transform must be non-empty and hold exactly the model's
+    channels, in any order."""
     if len(dataset) == 0:
         raise DataError("dataset has no series")
-    if dataset.channels == channels:
-        return dataset
-    missing = set(channels) - set(dataset.channels)
-    extra = set(dataset.channels) - set(channels)
-    if missing or extra:
-        parts = []
-        if missing:
-            parts.append(f"missing channels {sorted(missing)}")
-        if extra:
-            parts.append(f"unknown channels {sorted(extra)}")
-        raise DataError("channel mismatch with model: " + "; ".join(parts))
-    perm = [dataset.channels.index(c) for c in channels]
-    series = tuple(TimeSeries(id=ts.id, channels=channels,
-                              values=ts.values[:, perm], mask=ts.mask[:, perm],
-                              group_id=ts.group_id, label=ts.label)
-                   for ts in dataset)
-    return Dataset(series=series)
+    have, want = set(dataset.channels), set(channels)
+    problems = [f"{what} channels {sorted(names)}"
+                for what, names in (("missing", want - have),
+                                    ("unknown", have - want)) if names]
+    if problems:
+        raise DataError("channel mismatch with model: " + "; ".join(problems))
 
 
 def _require_group_ids(dataset: Dataset) -> None:
@@ -153,27 +146,18 @@ def fit_pipeline(dataset: Dataset, config: PipelineConfig,
     if centroids:
         _require_group_ids(dataset)
     n = len(dataset)
-    mined = mined_channels_of(dataset.channels, config.multivariate_mode)
-
-    streams = [_paa_streams(ts, config) for ts in dataset.series]
-
-    discretizers: dict[str, Discretizer] = {}
-    for ch in mined:
-        pooled = np.concatenate([s[ch] for s in streams])
-        discretizers[ch] = fit_discretizer(pooled, config.K, config.iqr_multiplier)
-
-    symbols = _symbols(streams, mined, discretizers)
-    rcsm_medians = {ch: fit_rcsm_medians(symbols[ch])
+    symbols, discretizers = _symbols(dataset, config, dataset.channels)
+    rcsm_medians = {ch: fit_rcsm_medians(corpus)
                     if Variation.RCSM in config.variations else {}
-                    for ch in mined}
+                    for ch, corpus in symbols.items()}
 
     vocabularies, encoded = {}, {}
     for key, corpus in _views(symbols, config, rcsm_medians):
         vocabularies[key], encoded[key] = fit_bpe(
             corpus, config.base_size(key[1]), P=config.P, U=config.U)
 
-    schema = build_schema(mined, config.variations, vocabularies, n, config.P,
-                          config.K)
+    schema = build_schema(tuple(symbols), config.variations, vocabularies, n,
+                          config.P, config.K)
     raw = assemble_matrix(dataset.ids, encoded, schema)
 
     n_cols = len(schema.columns)
@@ -204,11 +188,11 @@ def transform_dataset(model: FittedModel, dataset: Dataset) -> FeatureMatrix:
     the model was fitted with centroid augmentation, every series needs a
     group id; centroids are the group means over the rows being transformed.
     """
-    dataset = _align_channels(dataset, model.channels)
+    _check_channels(dataset, model.channels)
     if model.centroids:
         _require_group_ids(dataset)
-    streams = [_paa_streams(ts, model.config) for ts in dataset.series]
-    symbols = _symbols(streams, model.mined_channels, model.discretizers)
+    symbols, _ = _symbols(dataset, model.config, model.channels,
+                          model.discretizers)
     encoded = {key: encode_corpus(corpus, model.vocabularies[key])
                for key, corpus in _views(symbols, model.config,
                                          model.rcsm_medians)}
@@ -258,10 +242,9 @@ def pattern_spans(model: FittedModel, dataset: Dataset,
     tokens the feature counts after encoding, where other rules may have
     taken some of their symbols first.
     """
-    dataset = _align_channels(dataset, model.channels)
+    _check_channels(dataset, model.channels)
     config = model.config
-    symbols = _symbols([_paa_streams(ts, config) for ts in dataset.series],
-                       model.mined_channels, model.discretizers)
+    symbols, _ = _symbols(dataset, config, model.channels, model.discretizers)
     ids = dataset.ids
     length = [ts.length for ts in dataset]
     result: dict[str, dict[str, list[tuple[int, int]]]] = {}

@@ -2,10 +2,30 @@
 
 Recounts every candidate pair from scratch on every iteration with a
 per-pair greedy scan. Slow but obviously correct; the production miner must
-match it rule for rule.
+match it rule for rule. corpus_of and sequences_of convert between the
+per-series symbol lists used here and the library's flat Corpus.
 """
 
 from __future__ import annotations
+
+import numpy as np
+
+from pdbpe.bpe import Corpus
+
+
+def corpus_of(sequences):
+    """Flat Corpus of per-series symbol lists, empty series included."""
+    parts = [np.asarray(seq, dtype=np.int64) for seq in sequences]
+    tokens = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+    series = np.repeat(np.arange(len(parts)), [p.size for p in parts])
+    return Corpus(tokens, series, len(parts))
+
+
+def sequences_of(corpus):
+    """Per-series token lists of a Corpus."""
+    ends = np.cumsum(corpus.lengths()).tolist()
+    flat = corpus.tokens.tolist()
+    return [flat[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def count_one(seq, left, right):

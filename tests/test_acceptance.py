@@ -15,9 +15,9 @@ import time
 
 import numpy as np
 
-from naive_bpe import naive_fit
+from naive_bpe import corpus_of, naive_fit, sequences_of
 from pdbpe import Dataset, PipelineConfig, TimeSeries, fit_pipeline
-from pdbpe.bpe import Corpus, encode_corpus, fit_bpe
+from pdbpe.bpe import encode_corpus, fit_bpe
 from pdbpe.core import Variation
 from pdbpe.preprocess import whiten
 from pdbpe.variations import view
@@ -28,7 +28,7 @@ REF = [1, 1, 2, 2, 2, 0, 0, 0, 4]
 
 def encode(symbols, vocab):
     """The merge rules applied to one base-alphabet sequence."""
-    return encode_corpus(Corpus.from_sequences([symbols]), vocab).tokens.tolist()
+    return encode_corpus(corpus_of([symbols]), vocab).tokens.tolist()
 
 
 def _cli(*args):
@@ -39,7 +39,7 @@ def _cli(*args):
 def test_criterion_01_reference_variation_outputs():
     # The three derived views of the reference sequence, matched exactly.
     t0 = time.perf_counter()
-    symbols = Corpus.from_sequences([REF])
+    symbols = corpus_of([REF])
     medians = {0: 2, 1: 2, 2: 2, 4: 2}
 
     def tokens(variation):
@@ -58,7 +58,7 @@ def test_criterion_02_stop_threshold_arithmetic(tmp_path):
     # stopping threshold max(N*P, T*U) = max(20, 49.9) reports as 49.9.
     rng = random.Random(41)
     corpus = [[rng.randrange(5) for _ in range(500)] for _ in range(100)]
-    vocab, _ = fit_bpe(Corpus.from_sequences(corpus), 5)
+    vocab, _ = fit_bpe(corpus_of(corpus), 5)
     assert vocab.n_series == 100
     assert vocab.initial_pair_slots == 49900
     assert f"{vocab.stop_threshold:.12g}" == "49.9"
@@ -91,15 +91,14 @@ def test_criterion_03_miner_matches_naive_reference():
                                       alphabet=6)
         P = rng.choice([0.1, 0.2, 0.3, 0.5])
         U = rng.choice([0.0005, 0.001, 0.05, 0.2])
-        vocab, merged = fit_bpe(Corpus.from_sequences(corpus), 6, P=P, U=U)
-        encoded = encode_corpus(Corpus.from_sequences(corpus),
-                                vocab).sequences()
+        vocab, merged = fit_bpe(corpus_of(corpus), 6, P=P, U=U)
+        encoded = sequences_of(encode_corpus(corpus_of(corpus), vocab))
         ref_rules, ref_corpus = naive_fit(corpus, 6, P=P, U=U)
         got = [(r.new_symbol, r.left, r.right, r.train_frequency,
                 r.train_series_support) for r in vocab.rules]
         assert got == ref_rules
         assert encoded == ref_corpus
-        assert merged.sequences() == ref_corpus
+        assert sequences_of(merged) == ref_corpus
     assert time.perf_counter() - t0 < 30.0
 
 
@@ -111,7 +110,7 @@ def test_criterion_04_encode_decode_round_trip():
     for _ in range(25):
         corpus = random_symbol_corpus(rng, max_series=8, max_len=40,
                                       alphabet=5)
-        vocab, _ = fit_bpe(Corpus.from_sequences(corpus), 5)
+        vocab, _ = fit_bpe(corpus_of(corpus), 5)
         for _ in range(40):
             x = [rng.randrange(5) for _ in range(rng.randint(0, 60))]
             tokens = encode(x, vocab)

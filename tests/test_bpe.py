@@ -4,20 +4,21 @@ import random
 
 import pytest
 
-from naive_bpe import count_all, naive_fit, replace_one
+from naive_bpe import (corpus_of, count_all, naive_fit, replace_one,
+                       sequences_of)
 from pdbpe import DataError
-from pdbpe.bpe import Corpus, MergeRule, Vocabulary, encode_corpus, fit_bpe
+from pdbpe.bpe import MergeRule, Vocabulary, encode_corpus, fit_bpe
 
 
 def encode(symbols, vocab):
     """The merge rules applied to one base-alphabet sequence."""
-    return encode_corpus(Corpus.from_sequences([symbols]), vocab).tokens.tolist()
+    return encode_corpus(corpus_of([symbols]), vocab).tokens.tolist()
 
 
 def _first_rule(corpus, base_size):
     """(left, right, frequency, support) of the first merge with no stopping
     floor, or None when the corpus has no pair."""
-    vocab, _ = fit_bpe(Corpus.from_sequences(corpus), base_size, P=0.0, U=0.0)
+    vocab, _ = fit_bpe(corpus_of(corpus), base_size, P=0.0, U=0.0)
     if not vocab.rules:
         return None
     r = vocab.rules[0]
@@ -37,7 +38,7 @@ def test_pair_counts_run_semantics():
 
 
 def test_count_pairs_support_is_per_series():
-    corpus = Corpus.from_sequences([[0, 1, 0, 1], [0, 1], [2, 2]])
+    corpus = corpus_of([[0, 1, 0, 1], [0, 1], [2, 2]])
     vocab, _ = fit_bpe(corpus, 3, P=0.0, U=0.0)
     rules = [(r.left, r.right, r.train_frequency, r.train_series_support)
              for r in vocab.rules]
@@ -62,15 +63,15 @@ def test_single_merge_worked_example():
     # One series [0,1,0,1,0,1]: T = 5 slots, threshold = max(1*0.2, 5*0.4)
     # = 2.0. (0,1) occurs 3 times -> merged into symbol 2; the second round
     # best pair (2,2) has frequency 1 < 2, so mining stops.
-    corpus = Corpus.from_sequences([[0, 1, 0, 1, 0, 1]])
+    corpus = corpus_of([[0, 1, 0, 1, 0, 1]])
     vocab, merged = fit_bpe(corpus, base_size=2, P=0.2, U=0.4)
     assert len(vocab.rules) == 1
     rule = vocab.rules[0]
     assert (rule.new_symbol, rule.left, rule.right) == (2, 0, 1)
     assert rule.train_frequency == 3
     assert rule.train_series_support == 1
-    assert encode_corpus(corpus, vocab).sequences() == [[2, 2, 2]]
-    assert merged.sequences() == [[2, 2, 2]]
+    assert sequences_of(encode_corpus(corpus, vocab)) == [[2, 2, 2]]
+    assert sequences_of(merged) == [[2, 2, 2]]
     assert vocab.initial_pair_slots == 5
     assert vocab.stop_threshold == 2.0
 
@@ -78,7 +79,7 @@ def test_single_merge_worked_example():
 def test_first_merge_is_most_frequent_pair():
     # (1, 0) dominates; it must be merged first and get symbol base_size.
     corpus = [[1, 0, 2, 1, 0, 1, 0], [1, 0, 1, 0, 2]]
-    vocab, _ = fit_bpe(Corpus.from_sequences(corpus), base_size=3, P=0.2,
+    vocab, _ = fit_bpe(corpus_of(corpus), base_size=3, P=0.2,
                        U=0.001)
     first = vocab.rules[0]
     assert (first.left, first.right) == (1, 0)
@@ -91,7 +92,7 @@ def test_tie_break_prefers_smallest_pair():
     # (0,1) and (2,3) both occur twice; the lexicographically smaller pair
     # must win the first merge.
     corpus = [[2, 3, 0, 1], [0, 1, 2, 3]]
-    vocab, _ = fit_bpe(Corpus.from_sequences(corpus), base_size=4, P=0.4,
+    vocab, _ = fit_bpe(corpus_of(corpus), base_size=4, P=0.4,
                        U=0.001)
     assert (vocab.rules[0].left, vocab.rules[0].right) == (0, 1)
 
@@ -99,7 +100,7 @@ def test_tie_break_prefers_smallest_pair():
 def test_threshold_is_max_of_series_and_slot_floors():
     # 10 identical series of length 11: N=10, T=100.
     corpus = [[0, 1] * 5 + [0] for _ in range(10)]
-    vocab, _ = fit_bpe(Corpus.from_sequences(corpus), base_size=2, P=0.5,
+    vocab, _ = fit_bpe(corpus_of(corpus), base_size=2, P=0.5,
                        U=0.03)
     assert vocab.n_series == 10
     assert vocab.initial_pair_slots == 100
@@ -109,20 +110,20 @@ def test_threshold_is_max_of_series_and_slot_floors():
 def test_threshold_boundary_is_inclusive():
     # Frequency exactly at the threshold still merges; only strictly below
     # stops. Threshold = max(1*0.2, 9*(1/3)) = 3.0 and (0,1) occurs 3 times.
-    vocab, _ = fit_bpe(Corpus.from_sequences([[0, 1, 2, 0, 1, 2, 0, 1, 2, 2]]),
+    vocab, _ = fit_bpe(corpus_of([[0, 1, 2, 0, 1, 2, 0, 1, 2, 2]]),
                        base_size=3, P=0.2, U=1.0 / 3.0)
     assert any((r.left, r.right) == (0, 1) for r in vocab.rules[:1])
 
 
 def test_short_series_contribute_no_slots():
-    vocab, _ = fit_bpe(Corpus.from_sequences([[0], [], [0, 1, 1]]),
+    vocab, _ = fit_bpe(corpus_of([[0], [], [0, 1, 1]]),
                        base_size=2)
     assert vocab.initial_pair_slots == 2
     assert vocab.n_series == 3
 
 
 def test_empty_corpus_yields_empty_vocabulary():
-    vocab, _ = fit_bpe(Corpus.from_sequences([]), base_size=4)
+    vocab, _ = fit_bpe(corpus_of([]), base_size=4)
     assert vocab.rules == ()
     assert vocab.size == 4
     assert vocab.stop_threshold == 0.0
@@ -130,19 +131,14 @@ def test_empty_corpus_yields_empty_vocabulary():
 
 def test_out_of_range_symbols_rejected():
     with pytest.raises(DataError):
-        fit_bpe(Corpus.from_sequences([[0, 5]]), base_size=4)
+        fit_bpe(corpus_of([[0, 5]]), base_size=4)
     with pytest.raises(DataError):
-        fit_bpe(Corpus.from_sequences([[-1, 0]]), base_size=4)
+        fit_bpe(corpus_of([[-1, 0]]), base_size=4)
     with pytest.raises(DataError, match="corpus symbol 5 outside"):
-        fit_bpe(Corpus.from_sequences([[0, 5, 7]]), base_size=4)
-    # A symbol beyond int64 cannot enter a corpus at all.
-    with pytest.raises(DataError, match=f"symbol {2**63} outside"):
-        Corpus.from_sequences([[0, 5, 2**63]])
-    vocab, _ = fit_bpe(Corpus.from_sequences([[0, 1, 0, 1]]), base_size=2)
-    with pytest.raises(DataError, match=f"symbol {2**63} outside"):
-        encode([0, 2**63], vocab)
+        fit_bpe(corpus_of([[0, 5, 7]]), base_size=4)
+    vocab, _ = fit_bpe(corpus_of([[0, 1, 0, 1]]), base_size=2)
     with pytest.raises(DataError, match="symbol 2 outside"):
-        encode_corpus(Corpus.from_sequences([[0, 1], [2]]), vocab)
+        encode_corpus(corpus_of([[0, 1], [2]]), vocab)
 
 
 @pytest.mark.parametrize("rule,message", [
@@ -156,7 +152,7 @@ def test_vocabulary_rejects_rules_encode_cannot_replay(rule, message):
 
 
 def test_decode_expands_nested_rules():
-    vocab, _ = fit_bpe(Corpus.from_sequences([[0, 1, 0, 1, 0, 1, 0, 1]]),
+    vocab, _ = fit_bpe(corpus_of([[0, 1, 0, 1, 0, 1, 0, 1]]),
                        base_size=2, P=0.2, U=0.1)
     # First merge (0,1)->2, then (2,2)->3.
     assert [(r.left, r.right) for r in vocab.rules[:2]] == [(0, 1), (2, 2)]
@@ -181,10 +177,10 @@ def test_encode_reproduces_training_form():
     for _ in range(100):
         corpus = [[rng.randrange(4) for _ in range(rng.randint(0, 40))]
                   for _ in range(rng.randint(1, 8))]
-        vocab, merged = fit_bpe(Corpus.from_sequences(corpus), base_size=4)
+        vocab, merged = fit_bpe(corpus_of(corpus), base_size=4)
         _rules, final_corpus = naive_fit(corpus, 4)
-        encoded = encode_corpus(Corpus.from_sequences(corpus), vocab)
-        assert encoded.sequences() == merged.sequences() == final_corpus
+        encoded = encode_corpus(corpus_of(corpus), vocab)
+        assert sequences_of(encoded) == sequences_of(merged) == final_corpus
         for original, final in zip(corpus, final_corpus):
             assert encode(original, vocab) == final
 
@@ -192,7 +188,7 @@ def test_encode_reproduces_training_form():
 def test_encode_decode_round_trip_on_unseen_data():
     rng = random.Random(55)
     corpus = [[rng.randrange(3) for _ in range(30)] for _ in range(6)]
-    vocab, _ = fit_bpe(Corpus.from_sequences(corpus), base_size=3)
+    vocab, _ = fit_bpe(corpus_of(corpus), base_size=3)
     for _ in range(200):
         fresh = [rng.randrange(3) for _ in range(rng.randint(0, 50))]
         enc = encode(fresh, vocab)
@@ -201,7 +197,7 @@ def test_encode_decode_round_trip_on_unseen_data():
 
 
 def test_encode_rejects_non_base_symbols():
-    vocab, _ = fit_bpe(Corpus.from_sequences([[0, 1, 0, 1, 0, 1]]),
+    vocab, _ = fit_bpe(corpus_of([[0, 1, 0, 1, 0, 1]]),
                        base_size=2)
     with pytest.raises(DataError):
         encode([0, 2], vocab)
@@ -215,26 +211,26 @@ def test_miner_matches_naive_oracle_on_random_corpora():
                   for _ in range(rng.randint(1, 10))]
         P = rng.choice([0.1, 0.2, 0.5])
         U = rng.choice([0.001, 0.05, 0.2])
-        vocab, merged = fit_bpe(Corpus.from_sequences(corpus),
+        vocab, merged = fit_bpe(corpus_of(corpus),
                                 base_size=alphabet, P=P, U=U)
         want_rules, want_seqs = naive_fit(corpus, alphabet, P=P, U=U)
         got_rules = [(r.new_symbol, r.left, r.right, r.train_frequency,
                       r.train_series_support) for r in vocab.rules]
         assert got_rules == want_rules, f"trial {trial}"
-        encoded = encode_corpus(Corpus.from_sequences(corpus), vocab)
-        assert encoded.sequences() == want_seqs, f"trial {trial}"
-        assert merged.sequences() == want_seqs, f"trial {trial}"
+        encoded = encode_corpus(corpus_of(corpus), vocab)
+        assert sequences_of(encoded) == want_seqs, f"trial {trial}"
+        assert sequences_of(merged) == want_seqs, f"trial {trial}"
 
 
 def _assert_matches_oracle(corpus, base_size, P, U):
     """fit_bpe equals naive_fit rule for rule, and its merged corpus,
     encode_corpus and per-series encode all give naive_fit's final corpus."""
-    vocab, merged = fit_bpe(Corpus.from_sequences(corpus), base_size, P=P, U=U)
+    vocab, merged = fit_bpe(corpus_of(corpus), base_size, P=P, U=U)
     want_rules, want_seqs = naive_fit(corpus, base_size, P=P, U=U)
     assert [(r.new_symbol, r.left, r.right, r.train_frequency,
              r.train_series_support) for r in vocab.rules] == want_rules
-    encoded = encode_corpus(Corpus.from_sequences(corpus), vocab)
-    assert encoded.sequences() == merged.sequences() == want_seqs
+    encoded = encode_corpus(corpus_of(corpus), vocab)
+    assert sequences_of(encoded) == sequences_of(merged) == want_seqs
     assert [encode(seq, vocab) for seq in corpus] == want_seqs
     return vocab
 
@@ -327,7 +323,7 @@ def test_encode_unseen_corpus_where_rules_find_no_left_symbol():
     rng = random.Random(36)
     train = [[0, 1, 2, 2, 0, 1, 2] * 4, [2, 2, 2, 0, 1] * 3,
              [0, 0, 0, 1, 1, 1, 0, 0] * 2]
-    vocab, _ = fit_bpe(Corpus.from_sequences(train), 3, P=0.0, U=0.0)
+    vocab, _ = fit_bpe(corpus_of(train), 3, P=0.0, U=0.0)
     assert any(2 in vocab.decode(r.left) for r in vocab.rules)
     for _ in range(100):
         fresh = [[rng.randrange(2) for _ in range(rng.randint(0, 30))]
@@ -336,8 +332,7 @@ def test_encode_unseen_corpus_where_rules_find_no_left_symbol():
         for r in vocab.rules:
             want = [replace_one(seq, r.left, r.right, r.new_symbol)
                     for seq in want]
-        assert encode_corpus(Corpus.from_sequences(fresh),
-                             vocab).sequences() == want
+        assert sequences_of(encode_corpus(corpus_of(fresh), vocab)) == want
 
 
 def test_oracle_helpers_agree_on_simple_case():

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -214,6 +215,21 @@ def test_inspect_top_patterns_and_spans(tmp_path, capsys):
     assert int(first[2]) < int(first[3])
 
 
+def test_spans_csv_bytes_are_pinned(tmp_path, capsys):
+    # Every pattern's spans on the motif corpus, pinned byte for byte: the
+    # PAA windows, the view's source runs and the CSV rows must not move.
+    data, _ = _write_motif_corpus(tmp_path)
+    model_path, spans_path = str(tmp_path / "m.json"), tmp_path / "spans.csv"
+    assert main(["discover", "--data", data, "--k", "4", "--w", "3",
+                 "--model-out", model_path,
+                 "--features-out", str(tmp_path / "f.csv")]) == 0
+    assert main(["inspect", "--model", model_path, "--data", data,
+                 "--top", "1000", "--spans-out", str(spans_path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(spans_path.read_bytes()).hexdigest() == (
+        "f0b95bd3a4b9bcec30f7437b7683e895d546c387785ca2352f41ca28e7dd912d")
+
+
 def test_spans_csv_quotes_ids(tmp_path, capsys):
     # Each id holds a character that must be quoted; every span row still
     # reads back as 4 fields carrying the id.
@@ -256,12 +272,17 @@ def test_inspect_summary_only_and_usage_errors(tmp_path, capsys):
     assert main(["inspect", "--model", model_path, "--top", "0"]) == 0
     out = capsys.readouterr().out
     assert "patterns identified" in out
-    # Ranking needs features alongside labels.
-    assert main(["inspect", "--model", model_path, "--labels", labels]) == 1
-    # Spans need the raw data.
-    assert main(["inspect", "--model", model_path,
-                 "--spans-out", str(tmp_path / "s.csv")]) == 1
-    capsys.readouterr()
+    spans_path = tmp_path / "s.csv"
+    for top in ("10", "0"):
+        # Ranking needs features alongside labels.
+        assert main(["inspect", "--model", model_path, "--top", top,
+                     "--labels", labels]) == 1
+        assert "ranking needs --features" in capsys.readouterr().err
+        # Spans need the raw data.
+        assert main(["inspect", "--model", model_path, "--top", top,
+                     "--spans-out", str(spans_path)]) == 1
+        assert "--spans-out needs --data" in capsys.readouterr().err
+        assert not spans_path.exists()
 
 
 def test_evaluate_report_is_deterministic(tmp_path, capsys):

@@ -49,6 +49,15 @@ def test_channel_count_must_match_columns():
         TimeSeries(id="a", channels=("x",), values=np.zeros((4, 2)), mask=None)
 
 
+def test_repeated_channel_names_rejected():
+    # Columns are looked up by channel name, so a repeated name would leave
+    # one of its columns unread.
+    with pytest.raises(DataError, match="series 'a': channel names .* are "
+                                        "not distinct"):
+        TimeSeries(id="a", channels=("x", "x"), values=np.zeros((4, 2)),
+                   mask=None)
+
+
 def test_empty_series_rejected():
     with pytest.raises(DataError):
         TimeSeries.univariate("a", [])

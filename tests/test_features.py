@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from naive_bpe import corpus_of
 from pdbpe import DataError
-from pdbpe.bpe import Corpus, fit_bpe
+from pdbpe.bpe import fit_bpe
 from pdbpe.core import Variation
 from pdbpe.features import (FeatureDescriptor, FeatureSchema, anova_f_rank,
                             assemble_matrix, build_schema, centroid_augment,
@@ -27,7 +28,7 @@ def test_feature_names():
 
 
 def _tiny_vocab():
-    return fit_bpe(Corpus.from_sequences([[0, 1, 0, 1, 0, 1]]), base_size=2,
+    return fit_bpe(corpus_of([[0, 1, 0, 1, 0, 1]]), base_size=2,
                    P=0.2, U=0.4)[0]
 
 
@@ -46,7 +47,7 @@ def test_build_schema_base_then_supported_patterns():
 def test_build_schema_support_filter_is_inclusive():
     corpus = [[0, 1, 0, 1], [0, 1, 0, 1], [2, 2, 2, 2], [2, 2, 2, 2],
               [2, 2, 2, 2]]
-    vocab, _ = fit_bpe(Corpus.from_sequences(corpus), base_size=3, P=0.2,
+    vocab, _ = fit_bpe(corpus_of(corpus), base_size=3, P=0.2,
                        U=0.001)
     by_pair = {(r.left, r.right): r for r in vocab.rules}
     assert by_pair[(0, 1)].train_series_support == 2
@@ -71,7 +72,7 @@ def _count_rows(sequences, symbols):
                                       f"v.original.S{s}", False)
                     for s in symbols)
     ids = [f"s{i}" for i in range(len(sequences))]
-    encoded = {("v", Variation.ORIGINAL): Corpus.from_sequences(sequences)}
+    encoded = {("v", Variation.ORIGINAL): corpus_of(sequences)}
     return assemble_matrix(ids, encoded, FeatureSchema(columns)).values
 
 
@@ -87,7 +88,7 @@ def test_assemble_matrix_row_and_column_order():
                           {("v", Variation.ORIGINAL): vocab},
                           n_series=1, P=0.2, K=2)
     encoded = {("v", Variation.ORIGINAL):
-               Corpus.from_sequences([[2, 2, 2], [0, 0, 1]])}
+               corpus_of([[2, 2, 2], [0, 0, 1]])}
     mat = assemble_matrix(["a", "b"], encoded, schema)
     assert mat.ids == ("a", "b")
     assert np.allclose(mat.values[0], [0.0, 0.0, 1.0])

@@ -8,14 +8,15 @@ import textwrap
 import numpy as np
 import pytest
 
+from naive_bpe import corpus_of
 import pdbpe
 from pdbpe import (DataError, Dataset, PipelineConfig, TimeSeries,
                    fit_pipeline, transform_dataset)
-from pdbpe.bpe import Corpus
 from pdbpe.core import MultivariateMode, Variation
 from pdbpe.features import FeatureDescriptor
 from pdbpe.model_io import fingerprint_model
 from pdbpe.pipeline import COLLAPSED_CHANNEL, pattern_spans
+from pdbpe.preprocess import paa
 from pdbpe.variations import view
 from synth import motif_dataset, random_dataset
 
@@ -83,16 +84,35 @@ def test_identical_series_get_identical_rows():
     assert np.array_equal(matrix.values[0], matrix.values[1])
 
 
-def test_channel_order_is_normalized_on_transform():
-    ds = _small_dataset(seed=3, channels=2)
-    model, matrix = fit_pipeline(ds, CFG)
+def test_channel_order_is_normalized_on_transform(monkeypatch):
+    # The model's column order must reach every per-series step, including
+    # the whitening's Cholesky factor, so every PAA stream is bit-identical.
+    ds = _small_dataset(seed=3, channels=3)
     flipped = Dataset(tuple(
-        TimeSeries(id=ts.id, channels=(ts.channels[1], ts.channels[0]),
+        TimeSeries(id=ts.id, channels=ts.channels[::-1],
                    values=ts.values[:, ::-1], mask=ts.mask[:, ::-1],
                    label=ts.label)
         for ts in ds))
-    out = transform_dataset(model, flipped)
-    assert np.array_equal(out.values, matrix.values)
+    streams = []
+
+    def recorded_paa(values, W):
+        out = paa(values, W)
+        streams.append(out.tobytes())
+        return out
+
+    monkeypatch.setattr("pdbpe.pipeline.paa", recorded_paa)
+    for mode in MultivariateMode:
+        streams.clear()
+        model, matrix = fit_pipeline(
+            ds, PipelineConfig(K=4, W=2, multivariate_mode=mode))
+        fitted = streams.copy()
+        streams.clear()
+        out = transform_dataset(model, flipped)
+        assert streams == fitted, mode
+        assert np.array_equal(out.values, matrix.values), mode
+        descs = list(model.schema.final_columns())
+        assert (pattern_spans(model, flipped, descs)
+                == pattern_spans(model, ds, descs)), mode
 
 
 def test_channel_set_mismatch_is_rejected():
@@ -151,7 +171,7 @@ def test_autoregressive_base_size_is_step_alphabet():
 
 
 def test_variation_sequence_autoregressive_is_offset_encoded():
-    corpus, _lo, _hi = view(Corpus.from_sequences([[0, 3, 1]]),
+    corpus, _lo, _hi = view(corpus_of([[0, 3, 1]]),
                             Variation.AUTOREGRESSIVE, {}, K=4)
     seq = corpus.tokens.tolist()
     # Raw steps +3, -2 shift by K-1=3 into nonnegative space.
@@ -187,7 +207,7 @@ def test_missing_group_ids_are_rejected_before_preprocessing(monkeypatch):
     def no_preprocessing(*args):
         raise AssertionError("preprocessing ran before the group id check")
 
-    monkeypatch.setattr("pdbpe.pipeline._paa_streams", no_preprocessing)
+    monkeypatch.setattr("pdbpe.pipeline._symbols", no_preprocessing)
     with pytest.raises(DataError, match="series 'r3' has no group id"):
         fit_pipeline(partial, CFG, centroids=True)
     with pytest.raises(DataError, match="series 'r3' has no group id"):

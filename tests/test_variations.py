@@ -6,7 +6,8 @@ from collections import Counter
 
 import numpy as np
 
-from pdbpe.bpe import Corpus, encode_corpus, fit_bpe
+from naive_bpe import corpus_of, sequences_of
+from pdbpe.bpe import encode_corpus, fit_bpe
 from pdbpe.core import Variation
 from pdbpe.features import FeatureDescriptor, FeatureSchema, assemble_matrix
 from pdbpe.variations import fit_rcsm_medians, runs, view
@@ -16,14 +17,14 @@ REF = [1, 1, 2, 2, 2, 0, 0, 0, 4]
 
 def encode(symbols, vocab):
     """The merge rules applied to one base-alphabet sequence."""
-    return encode_corpus(Corpus.from_sequences([symbols]), vocab).tokens.tolist()
+    return encode_corpus(corpus_of([symbols]), vocab).tokens.tolist()
 
 
 def _view(sequences, variation, medians=None, K=10):
     """Per-series token lists of one view of the given base sequences."""
-    corpus, _lo, _hi = view(Corpus.from_sequences(sequences), variation,
+    corpus, _lo, _hi = view(corpus_of(sequences), variation,
                             medians or {}, K)
-    return corpus.sequences()
+    return sequences_of(corpus)
 
 
 def _rcs(seq):
@@ -42,7 +43,7 @@ def _steps(seq, K=10):
 
 def _run_triples(seq):
     """(symbol, start, length) of each run of one series."""
-    corpus = Corpus.from_sequences([seq])
+    corpus = corpus_of([seq])
     starts, ends = runs(corpus)
     return [(int(corpus.tokens[a]), int(a), int(b - a))
             for a, b in zip(starts, ends)]
@@ -84,7 +85,7 @@ def test_fit_rcsm_medians_lower_median():
     # runs, not one of length 3.
     # Symbol 1 runs have lengths [4, 1]: even count takes the lower value 1.
     corpus = [[3, 3, 3, 3, 3, 1, 3, 3], [3, 1, 1, 1, 1]]
-    medians = fit_rcsm_medians(Corpus.from_sequences(corpus))
+    medians = fit_rcsm_medians(corpus_of(corpus))
     assert medians == {3: 2, 1: 1}
     # Unseen symbols default to 1: a run of two 9s is longer than that.
     assert _rcsm([9], medians) == [9]
@@ -107,7 +108,7 @@ def test_rcsm_randomized_structure():
     rng = random.Random(99)
     for _ in range(100):
         seq = [rng.randrange(3) for _ in range(rng.randint(1, 40))]
-        medians = fit_rcsm_medians(Corpus.from_sequences([seq]))
+        medians = fit_rcsm_medians(corpus_of([seq]))
         out = _rcsm(seq, medians)
         rcs = _rcs(seq)
         # One or two copies per run, same visit order as plain collapse.
@@ -204,7 +205,7 @@ def test_flat_views_match_per_series_reference():
     for trial in range(300):
         K = rng.randint(2, 6)
         corpus = _random_corpus(rng, K)
-        symbols = Corpus.from_sequences(corpus)
+        symbols = corpus_of(corpus)
         fitted = fit_rcsm_medians(symbols)
         assert fitted == _ref_medians(corpus), trial
         # A loaded table may lack symbols; those default to 1.
@@ -220,14 +221,14 @@ def test_flat_views_match_per_series_reference():
                                                got.series)]
                 want = [_ref_view(seq, variation, medians, K)
                         for seq in corpus]
-                assert got.sequences() == [[t for t, _a, _b in w]
+                assert sequences_of(got) == [[t for t, _a, _b in w]
                                            for w in want], (trial, variation)
                 assert local == [x for w in want for x in w], trial
                 base = 2 * K - 1
                 vocab, encoded = fit_bpe(got, base, P=0.0, U=0.01)
                 columns = list(range(vocab.size + 1))
                 rows = _count_matrix(encoded, columns)
-                for row, seq in zip(rows, got.sequences()):
+                for row, seq in zip(rows, sequences_of(got)):
                     tokens = encode(seq, vocab)
                     counts = Counter(tokens)
                     want_row = [counts[c] / len(tokens) if tokens else 0.0
