@@ -1,8 +1,13 @@
 """Cross-validation harness: fold planning, simple predictors, metrics,
 and nested (K, W) selection.
 
-Every fold refits the entire pipeline on its training rows only, so no
-discretization, vocabulary, or pruning state leaks across the split.
+Each series' PAA stream is computed once per W and shared by every fold and
+grid point: it is normalized (or whitened) against that series' own
+statistics only, so it is the same whichever fold holds the series.
+Everything fitted on a set of series (bin edges, run-length medians,
+vocabularies, pruning, centroids and the predictor) is refitted per fold on
+its training rows only, so no state learned from held-out rows leaks
+across the split.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 from .core import Dataset, PipelineConfig, require_group_ids
 from .errors import DataError, NumericError, UsageError
 from .model_io import fingerprint_model
-from .pipeline import fit_pipeline, transform_dataset
+from .pipeline import _fit, _require_group_ids, _streams, _transform
 
 
 @dataclass(frozen=True)
@@ -246,15 +251,16 @@ def score_split(train_X, y_train, test_X, y_test, task: str, metric: str,
     return auc_roc(np.array([lab == pos for lab in y_test]), hits / knn_k)
 
 
-def _splits(dataset: Dataset, plan: CvPlan) -> list[tuple[Dataset, Dataset]]:
-    """The (train, test) datasets of each fold of plan, in fold order."""
+def _splits(dataset: Dataset, plan: CvPlan,
+            rows: Sequence[int]) -> list[tuple[list[int], list[int]]]:
+    """The (train, test) row indices into dataset of each fold of plan, a
+    plan over the series at rows, in fold order."""
+    fold_of = [plan.assignment[dataset.series[i].id] for i in rows]
     splits = []
     for fold in range(plan.k):
-        train = Dataset(tuple(ts for ts in dataset
-                              if plan.assignment[ts.id] != fold))
-        test = Dataset(tuple(ts for ts in dataset
-                             if plan.assignment[ts.id] == fold))
-        if len(train) == 0 or len(test) == 0:
+        train = [i for i, f in zip(rows, fold_of) if f != fold]
+        test = [i for i, f in zip(rows, fold_of) if f == fold]
+        if not train or not test:
             raise DataError(f"fold {fold} leaves an empty train or test split")
         splits.append((train, test))
     return splits
@@ -273,8 +279,10 @@ def cross_validate(dataset: Dataset, config: PipelineConfig, plan: CvPlan,
     task, a metric the task cannot use, a knn_k below 1 for classification
     or a ridge_lambda that is not a finite number >= 0 for regression; a
     DataError for a (K, W) grid point that PipelineConfig rejects, a knn_k
-    above the smallest training split of the plan or of an inner plan, or an
-    auc positive_label that no series carries.
+    above the smallest training split of the plan or of an inner plan, an
+    auc positive_label that no series carries or, with centroids, a series
+    without a group id. Only then are the series preprocessed, in dataset
+    order, so a series that cannot be normalized is the first NumericError.
     The fitted state per fold depends only on that fold's training rows;
     fingerprints of the fitted models are recorded so tests can verify the
     separation.
@@ -298,7 +306,7 @@ def cross_validate(dataset: Dataset, config: PipelineConfig, plan: CvPlan,
     stray = sorted(set(dataset.ids).symmetric_difference(plan.assignment))
     if stray:
         raise DataError(f"plan and dataset disagree on series ids: {stray[:3]}")
-    labels = dict(zip(dataset.ids, _series_labels(dataset, task)))
+    labels = _series_labels(dataset, task)
     k_grid = sorted(set(k_grid or [config.K]))
     w_grid = sorted(set(w_grid or [config.W]))
     nested = len(k_grid) * len(w_grid) > 1
@@ -310,14 +318,15 @@ def cross_validate(dataset: Dataset, config: PipelineConfig, plan: CvPlan,
     if task == "regression" and not 0 <= ridge_lambda < np.inf:
         raise UsageError(f"ridge regression needs ridge_lambda to be a finite "
                          f"number >= 0, got {ridge_lambda!r}")
-    if metric == "auc" and positive_label not in (None, *labels.values()):
+    if metric == "auc" and positive_label not in (None, *labels):
         raise DataError(f"auc positive label {positive_label!r} is carried by "
                         f"no series")
     points = [replace(config, K=K, W=W) for K in k_grid for W in w_grid]
-    splits = _splits(dataset, plan)
-    inner_plans = [kfold_split(train.ids, inner_folds,
+    series = dataset.series
+    splits = _splits(dataset, plan, range(len(dataset)))
+    inner_plans = [kfold_split([series[i].id for i in train], inner_folds,
                                seed=plan.seed + 101 + fold,
-                               group_ids=[ts.group_id for ts in train]
+                               group_ids=[series[i].group_id for i in train]
                                if plan.group_aware else None)
                    for fold, (train, _test) in enumerate(splits) if nested]
     if task == "classification":
@@ -327,13 +336,27 @@ def cross_validate(dataset: Dataset, config: PipelineConfig, plan: CvPlan,
             if knn_k > smallest:
                 raise DataError(f"knn_k={knn_k} exceeds the smallest training "
                                 f"split, {smallest} series")
+    if centroids:
+        _require_group_ids(dataset)
+    # A stream depends on its own series only, so one per series and W
+    # serves every fold and grid point.
+    streams = {W: _streams(dataset, replace(config, W=W), dataset.channels)
+               for W in w_grid}
 
-    def fit_and_score(train: Dataset, test: Dataset, point: PipelineConfig):
-        model, train_matrix = fit_pipeline(train, point, centroids=centroids)
+    def subset(rows: list[int], W: int):
+        """The series at rows and their streams at W."""
+        return (Dataset(tuple(series[i] for i in rows)),
+                {ch: [stream[i] for i in rows]
+                 for ch, stream in streams[W].items()})
+
+    def fit_and_score(train: list[int], test: list[int],
+                      point: PipelineConfig):
+        train_set, train_streams = subset(train, point.W)
+        model, train_matrix = _fit(train_set, point, centroids, train_streams)
         value = score_split(
-            train_matrix.values, [labels[sid] for sid in train.ids],
-            transform_dataset(model, test).values,
-            [labels[sid] for sid in test.ids], task, metric, knn_k=knn_k,
+            train_matrix.values, [labels[i] for i in train],
+            _transform(model, *subset(test, point.W)).values,
+            [labels[i] for i in test], task, metric, knn_k=knn_k,
             ridge_lambda=ridge_lambda, positive_label=positive_label)
         return float(value), model, len(train_matrix.names)
 
@@ -341,7 +364,7 @@ def cross_validate(dataset: Dataset, config: PipelineConfig, plan: CvPlan,
     for fold, (train, test) in enumerate(splits):
         fold_config = points[0]
         if nested:
-            inner_splits = _splits(train, inner_plans[fold])
+            inner_splits = _splits(dataset, inner_plans[fold], train)
             means = [float(np.mean([fit_and_score(*split, point)[0]
                                     for split in inner_splits]))
                      for point in points]

@@ -1,11 +1,15 @@
 """End-to-end model fitting and application.
 
-Fit, transform and spans share one front half, _symbols: per-series
-z-normalization (or whitening and collapse) and PAA, then dataset-level bin
-edges per mined channel, fitted on its pooled streams. Fit learns one merge
-vocabulary per (channel, variation). Features are the length-normalized
-occurrence counts of base symbols and supported patterns in each series'
-final token stream, pruned of zero-variance and highly correlated columns.
+Fit, transform and spans share one front half in two steps. _streams is
+per series: z-normalization (or whitening and collapse) against the series'
+own statistics, then PAA, so a series' stream does not depend on the other
+series it is fitted or transformed with; cross-validation computes it once
+per W and reuses it in every fold. _symbols is per dataset: it pools the
+streams of each mined channel, fits the bin edges on that pool when
+fitting, and discretizes. Fit learns one merge vocabulary per (channel,
+variation). Features are the length-normalized occurrence counts of base
+symbols and supported patterns in each series' final token stream, pruned
+of zero-variance and highly correlated columns.
 """
 
 from __future__ import annotations
@@ -72,13 +76,11 @@ def mined_channels_of(channels: tuple[str, ...],
     return channels
 
 
-def _symbols(dataset: Dataset, config: PipelineConfig,
-             channels: tuple[str, ...],
-             discretizers: dict[str, Discretizer] | None = None
-             ) -> tuple[dict[str, Corpus], dict[str, Discretizer]]:
-    """Base-symbol corpus of every series per mined channel, and the
-    discretizers, fitted on each channel's pooled PAA streams when none are
-    given. Each series' columns are read in the order of channels."""
+def _streams(dataset: Dataset, config: PipelineConfig,
+             channels: tuple[str, ...]) -> dict[str, list[np.ndarray]]:
+    """Per mined channel, each series' PAA stream in dataset order. Each
+    series is normalized (or whitened and collapsed) against its own
+    statistics only, with its columns read in the order of channels."""
     mined = mined_channels_of(channels, config.multivariate_mode)
     cols = [dataset.channels.index(ch) for ch in channels]
     parts: list[list[np.ndarray]] = [[] for _ in mined]
@@ -94,14 +96,24 @@ def _symbols(dataset: Dataset, config: PipelineConfig,
                     part.append(paa(normalized, config.W))
         except NumericError as exc:
             raise NumericError(f"series {ts.id!r}: {exc}") from None
-    pools = [np.concatenate(part) for part in parts]
+    return dict(zip(mined, parts))
+
+
+def _symbols(streams: dict[str, list[np.ndarray]], config: PipelineConfig,
+             discretizers: dict[str, Discretizer] | None = None
+             ) -> tuple[dict[str, Corpus], dict[str, Discretizer]]:
+    """Base-symbol corpus of every series per mined channel, and the
+    discretizers, fitted on each channel's pooled streams when none are
+    given."""
+    pools = {ch: np.concatenate(part) for ch, part in streams.items()}
     if discretizers is None:
         discretizers = {ch: fit_discretizer(pool, config.K, config.iqr_multiplier)
-                        for ch, pool in zip(mined, pools)}
-    series = np.repeat(np.arange(len(dataset)), [p.size for p in parts[0]])
+                        for ch, pool in pools.items()}
+    first = next(iter(streams.values()))
+    series = np.repeat(np.arange(len(first)), [p.size for p in first])
     return ({ch: Corpus(apply_discretizer(pool, discretizers[ch]), series,
-                        len(dataset))
-             for ch, pool in zip(mined, pools)}, discretizers)
+                        len(first))
+             for ch, pool in pools.items()}, discretizers)
 
 
 def _views(symbols: dict[str, Corpus], config: PipelineConfig,
@@ -145,8 +157,15 @@ def fit_pipeline(dataset: Dataset, config: PipelineConfig,
         raise DataError("cannot fit on an empty dataset")
     if centroids:
         _require_group_ids(dataset)
+    return _fit(dataset, config, centroids,
+                _streams(dataset, config, dataset.channels))
+
+
+def _fit(dataset: Dataset, config: PipelineConfig, centroids: bool,
+         streams: dict[str, list[np.ndarray]]) -> tuple[FittedModel, FeatureMatrix]:
+    """fit_pipeline on a checked dataset whose _streams at config are given."""
     n = len(dataset)
-    symbols, discretizers = _symbols(dataset, config, dataset.channels)
+    symbols, discretizers = _symbols(streams, config)
     rcsm_medians = {ch: fit_rcsm_medians(corpus)
                     if Variation.RCSM in config.variations else {}
                     for ch, corpus in symbols.items()}
@@ -191,8 +210,15 @@ def transform_dataset(model: FittedModel, dataset: Dataset) -> FeatureMatrix:
     _check_channels(dataset, model.channels)
     if model.centroids:
         _require_group_ids(dataset)
-    symbols, _ = _symbols(dataset, model.config, model.channels,
-                          model.discretizers)
+    return _transform(model, dataset,
+                      _streams(dataset, model.config, model.channels))
+
+
+def _transform(model: FittedModel, dataset: Dataset,
+               streams: dict[str, list[np.ndarray]]) -> FeatureMatrix:
+    """transform_dataset on a checked dataset whose _streams at the model's
+    config are given."""
+    symbols, _ = _symbols(streams, model.config, model.discretizers)
     encoded = {key: encode_corpus(corpus, model.vocabularies[key])
                for key, corpus in _views(symbols, model.config,
                                          model.rcsm_medians)}
@@ -244,21 +270,27 @@ def pattern_spans(model: FittedModel, dataset: Dataset,
     """
     _check_channels(dataset, model.channels)
     config = model.config
-    symbols, _ = _symbols(dataset, config, model.channels, model.discretizers)
+    symbols, _ = _symbols(_streams(dataset, config, model.channels), config,
+                          model.discretizers)
     ids = dataset.ids
     length = [ts.length for ts in dataset]
-    result: dict[str, dict[str, list[tuple[int, int]]]] = {}
+    by_view: dict[tuple[str, Variation], list[FeatureDescriptor]] = {}
     for desc in descriptors:
-        base = symbols[desc.channel]
-        corpus, lo, hi = view(base, desc.variation,
-                              model.rcsm_medians[desc.channel], config.K)
+        by_view.setdefault((desc.channel, desc.variation), []).append(desc)
+    result: dict[str, dict[str, list[tuple[int, int]]]] = {}
+    for (channel, variation), descs in by_view.items():
+        base = symbols[channel]
+        corpus, lo, hi = view(base, variation, model.rcsm_medians[channel],
+                              config.K)
         # Flat index of each series' first base symbol.
         offset = np.cumsum(base.lengths()) - base.lengths()
-        m = len(desc.decoded)
-        result[desc.name] = per_series = {}
-        for t in _occurrences(corpus.tokens, corpus.series, desc.decoded):
-            s = int(corpus.series[t])
-            span = (int(lo[t] - offset[s]) * config.W,
-                    min(int(hi[t + m - 1] - offset[s]) * config.W, length[s]))
-            per_series.setdefault(ids[s], []).append(span)
-    return result
+        for desc in descs:
+            m = len(desc.decoded)
+            result[desc.name] = per_series = {}
+            for t in _occurrences(corpus.tokens, corpus.series, desc.decoded):
+                s = int(corpus.series[t])
+                span = (int(lo[t] - offset[s]) * config.W,
+                        min(int(hi[t + m - 1] - offset[s]) * config.W,
+                            length[s]))
+                per_series.setdefault(ids[s], []).append(span)
+    return {desc.name: result[desc.name] for desc in descriptors}

@@ -527,9 +527,10 @@ def _evaluate_rejected(tmp_path, capsys, monkeypatch, labels, flags):
         class_labels = str(tmp_path / "own_labels.csv")
 
     def no_fit(*args, **kwargs):
-        raise AssertionError("fit_pipeline was called")
+        raise AssertionError("a series was preprocessed or a fold fitted")
 
-    monkeypatch.setattr("pdbpe.evaluate.fit_pipeline", no_fit)
+    monkeypatch.setattr("pdbpe.evaluate._streams", no_fit)
+    monkeypatch.setattr("pdbpe.evaluate._fit", no_fit)
     code = main(["evaluate", "--data", data, "--labels", class_labels,
                  "--k", "4", "--w", "3", "--folds", "3",
                  "--report-out", str(tmp_path / "r.txt")] + flags)

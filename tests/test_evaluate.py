@@ -10,7 +10,8 @@ import pytest
 
 from pdbpe import (DataError, Dataset, NumericError, PipelineConfig,
                    TimeSeries, UsageError, cross_validate)
-from pdbpe.core import Variation
+from pdbpe import pipeline
+from pdbpe.core import MultivariateMode, Variation
 from pdbpe.evaluate import (accuracy, auc_roc, kfold_split, ridge_fit_predict,
                             rmse, score_split)
 from synth import motif_dataset, random_dataset
@@ -280,9 +281,10 @@ def test_cross_validate_flag_rules_fail_before_any_fit(monkeypatch):
     # more than one distinct point, is a UsageError raised before the first
     # fold is fitted.
     def no_fit(*args, **kwargs):
-        raise AssertionError("fit_pipeline was called")
+        raise AssertionError("a series was preprocessed or a fold fitted")
 
-    monkeypatch.setattr("pdbpe.evaluate.fit_pipeline", no_fit)
+    monkeypatch.setattr("pdbpe.evaluate._streams", no_fit)
+    monkeypatch.setattr("pdbpe.evaluate._fit", no_fit)
     ds = _labeled_dataset(seed=22)
     plan = kfold_split(ds.ids, 4, seed=0)
     config = PipelineConfig(K=4, W=4)
@@ -335,9 +337,10 @@ def _numeric_labels(ds, bad=None):
 def test_cross_validate_rejects_before_any_fit(monkeypatch, case, error,
                                                message):
     def no_fit(*args, **kwargs):
-        raise AssertionError("fit_pipeline was called")
+        raise AssertionError("a series was preprocessed or a fold fitted")
 
-    monkeypatch.setattr("pdbpe.evaluate.fit_pipeline", no_fit)
+    monkeypatch.setattr("pdbpe.evaluate._streams", no_fit)
+    monkeypatch.setattr("pdbpe.evaluate._fit", no_fit)
     ds = _labeled_dataset(seed=22)
     case = dict(case)
     if case["task"] == "regression":
@@ -346,6 +349,85 @@ def test_cross_validate_rejects_before_any_fit(monkeypatch, case, error,
     with pytest.raises(error, match=re.escape(message)) as info:
         cross_validate(ds, PipelineConfig(K=4, W=4), plan, **case)
     assert info.type is error  # a UsageError is also a DataError
+
+
+@pytest.mark.parametrize("mode,per_series", [
+    (MultivariateMode.PER_CHANNEL, 2), (MultivariateMode.WHITEN_COLLAPSE, 1)])
+def test_cross_validate_preprocesses_each_series_once_per_w(monkeypatch, mode,
+                                                            per_series):
+    # A stream depends on its own series only, so every fold and grid point
+    # slices one stream per series and W: one collapse per series, or one
+    # z-normalization per series and channel.
+    calls = Counter()
+    for name in ("collapse_series", "zscore_normalize"):
+        def counted(*args, _real=getattr(pipeline, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(pipeline, name, counted)
+    ds = random_dataset(np.random.default_rng(40), n_series=12, n_channels=2,
+                        length=48)
+    plan = kfold_split(ds.ids, 3, seed=0)
+    config = PipelineConfig(K=3, W=4, multivariate_mode=mode)
+    name = ("zscore_normalize" if mode is MultivariateMode.PER_CHANNEL
+            else "collapse_series")
+    cross_validate(ds, config, plan, "classification", knn_k=3)
+    assert calls == {name: per_series * len(ds)}
+    calls.clear()
+    cross_validate(ds, config, plan, "classification", knn_k=3,
+                   w_grid=[2, 4], inner_folds=2)
+    assert calls == {name: 2 * per_series * len(ds)}
+
+
+def _grouped(ds, plan, missing_group):
+    """ds with a group id on every series, and a series whose mean
+    overflows before one in fold 0 of plan; with missing_group, that later
+    series has no group id."""
+    fold = [plan.assignment[sid] for sid in ds.ids]
+    bad = fold.index(1)
+    later = fold.index(0, bad)
+    series = []
+    for i, ts in enumerate(ds):
+        values = np.full(ts.length, 1e308) if i == bad else ts.values
+        series.append(TimeSeries(
+            id=ts.id, channels=ts.channels, values=values, mask=ts.mask,
+            label=ts.label,
+            group_id=None if missing_group and i == later else f"g{i % 4}"))
+    return Dataset(tuple(series)), ds.ids[bad], ds.ids[later]
+
+
+def test_cross_validate_checks_group_ids_before_any_stream(monkeypatch):
+    # With centroids, every series' group id is checked before any series is
+    # preprocessed: a missing one is a DataError even when an earlier series
+    # would fail to normalize, and no fold is fitted first.
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a series was preprocessed or a fold fitted")
+
+    ds = _labeled_dataset(seed=24)
+    plan = kfold_split(ds.ids, 4, seed=0)
+    faulty, _bad, later = _grouped(ds, plan, missing_group=True)
+    monkeypatch.setattr("pdbpe.evaluate._streams", no_fit)
+    monkeypatch.setattr("pdbpe.evaluate._fit", no_fit)
+    with pytest.raises(DataError) as info:
+        cross_validate(faulty, PipelineConfig(K=4, W=4), plan,
+                       "classification", centroids=True)
+    assert str(info.value) == (f"series {later!r} has no group id; centroid "
+                               f"augmentation requires one per series")
+
+
+@pytest.mark.parametrize("mode,reason", [
+    (MultivariateMode.PER_CHANNEL, "values too large to normalize: their "
+                                   "mean or standard deviation overflows"),
+    (MultivariateMode.WHITEN_COLLAPSE, "values too large to whiten: their "
+                                       "covariance overflows")])
+def test_cross_validate_names_a_degenerate_series(mode, reason):
+    ds = _labeled_dataset(seed=24)
+    plan = kfold_split(ds.ids, 4, seed=0)
+    faulty, bad, _later = _grouped(ds, plan, missing_group=False)
+    with pytest.raises(NumericError) as info:
+        cross_validate(faulty, PipelineConfig(K=4, W=4, multivariate_mode=mode),
+                       plan, "classification", centroids=True)
+    assert str(info.value) == f"series {bad!r}: {reason}"
 
 
 def _oracle_pick(train, inner, points, task, **kwargs):

@@ -207,7 +207,7 @@ def test_missing_group_ids_are_rejected_before_preprocessing(monkeypatch):
     def no_preprocessing(*args):
         raise AssertionError("preprocessing ran before the group id check")
 
-    monkeypatch.setattr("pdbpe.pipeline._symbols", no_preprocessing)
+    monkeypatch.setattr("pdbpe.pipeline._streams", no_preprocessing)
     with pytest.raises(DataError, match="series 'r3' has no group id"):
         fit_pipeline(partial, CFG, centroids=True)
     with pytest.raises(DataError, match="series 'r3' has no group id"):
@@ -225,6 +225,28 @@ def test_transform_centroids_are_batch_local():
     out = transform_dataset(model, solo)
     base = out.values.shape[1] // 2
     assert np.array_equal(out.values[0, base:], out.values[0, :base])
+
+
+def test_pattern_spans_build_each_view_once(monkeypatch):
+    # Spans build one view per (channel, variation) among the descriptors,
+    # however many descriptors share it, and keep the descriptors' order
+    # when views interleave.
+    ds = _small_dataset(seed=41, n=12, channels=2)
+    model, _ = fit_pipeline(ds, PipelineConfig(K=3, W=2, P=0.3))
+    descs = [c for c in model.schema.columns if c.is_pattern]
+    np.random.default_rng(0).shuffle(descs)
+    built = []
+
+    def counted(symbols, variation, *args):
+        built.append(variation)
+        return view(symbols, variation, *args)
+
+    monkeypatch.setattr("pdbpe.pipeline.view", counted)
+    spans = pattern_spans(model, ds, descs)
+    keys = {(d.channel, d.variation) for d in descs}
+    assert len(descs) > len(keys) > len(model.channels)
+    assert len(built) == len(keys)
+    assert list(spans) == [d.name for d in descs]
 
 
 def test_pattern_spans_locate_planted_motif():
