@@ -10,13 +10,14 @@ A data CSV is read in blocks of whole lines, about BLOCK_CHARS characters
 each, and every block becomes coded columns (series code, channel code, t,
 value) without a list or dict per row. Two tokenizers split the blocks:
 
-- The fast one splits lines on "\n" (or "\r\n") and fields on ",". It
-  runs on every block with no '"', NUL or "\r" outside a "\r\n", no line
-  longer than csv.field_size_limit() and four fields on every non-blank
-  line; on such text csv.reader finds exactly the same fields.
+- The fast one splits lines on "\n" and fields on ",". It runs on every
+  block with no '"', "\r" or NUL, no line longer than
+  csv.field_size_limit() and four fields on every non-blank line; on such
+  text csv.reader finds exactly the same fields.
 - From the first block that breaks any of these, that block and the rest of
   the file go through csv.reader, which parses quoted fields (also across
-  lines), lone "\r" line ends and malformed text.
+  lines) and reports malformed text. Files with CRLF line ends take this
+  path throughout.
 
 Bad rows are found by whole-column checks and then reported as the first
 failing row in file order. Memory follows the number of rows and samples,
@@ -67,20 +68,14 @@ def _split_block(lines: list[str],
     start, when the fast split gives csv.reader's fields and four of them
     on every line; otherwise None."""
     text = "".join(lines)
-    # csv.reader ends a record at "\r\n" as at "\n"; a lone "\r" also ends
-    # one, which the split below would not see.
-    crlf = "\r" in text
-    if ('"' in text or "\0" in text
-            or crlf and text.count("\r") != text.count("\r\n")
+    if ('"' in text or "\r" in text or "\0" in text
             or max(map(len, lines)) > csv.field_size_limit()):
         return None
     numbers: Sequence[int] = range(start + 1, start + len(lines) + 1)
-    if "\n" in lines or crlf and "\r\n" in lines:  # a blank line: no fields
+    if "\n" in lines:  # csv.reader gives no fields for a blank line
         numbers = np.array([k for k, line in zip(numbers, lines)
-                            if line not in ("\n", "\r\n")], dtype=np.int64)
-        text = "".join(line for line in lines if line not in ("\n", "\r\n"))
-    if crlf:
-        text = text.replace("\r\n", "\n")
+                            if line != "\n"], dtype=np.int64)
+        text = "".join(line for line in lines if line != "\n")
     if not text.endswith("\n"):
         text += "\n"
     # Every line end becomes a "\n" field of its own; the lines are 4

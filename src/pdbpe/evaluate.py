@@ -22,7 +22,7 @@ import numpy as np
 from .core import Dataset, PipelineConfig, require_group_ids
 from .errors import DataError, NumericError, UsageError
 from .model_io import fingerprint_model
-from .pipeline import _fit, _require_group_ids, _streams, _transform
+from .pipeline import _fit, _shared_streams, _transform
 
 
 @dataclass(frozen=True)
@@ -336,26 +336,23 @@ def cross_validate(dataset: Dataset, config: PipelineConfig, plan: CvPlan,
             if knn_k > smallest:
                 raise DataError(f"knn_k={knn_k} exceeds the smallest training "
                                 f"split, {smallest} series")
-    if centroids:
-        _require_group_ids(dataset)
-    # A stream depends on its own series only, so one per series and W
-    # serves every fold and grid point.
-    streams = {W: _streams(dataset, replace(config, W=W), dataset.channels)
-               for W in w_grid}
+    # A stream depends on its own series only, so every fold and grid
+    # point slices its rows from one computed over the whole dataset.
+    streams = _shared_streams(dataset, points, centroids)
 
-    def subset(rows: list[int], W: int):
-        """The series at rows and their streams at W."""
+    def subset(rows: list[int], point: PipelineConfig):
+        """The series at rows and their streams at point."""
         return (Dataset(tuple(series[i] for i in rows)),
                 {ch: [stream[i] for i in rows]
-                 for ch, stream in streams[W].items()})
+                 for ch, stream in streams[point].items()})
 
     def fit_and_score(train: list[int], test: list[int],
                       point: PipelineConfig):
-        train_set, train_streams = subset(train, point.W)
+        train_set, train_streams = subset(train, point)
         model, train_matrix = _fit(train_set, point, centroids, train_streams)
         value = score_split(
             train_matrix.values, [labels[i] for i in train],
-            _transform(model, *subset(test, point.W)).values,
+            _transform(model, *subset(test, point)).values,
             [labels[i] for i in test], task, metric, knn_k=knn_k,
             ridge_lambda=ridge_lambda, positive_label=positive_label)
         return float(value), model, len(train_matrix.names)

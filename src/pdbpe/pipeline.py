@@ -3,19 +3,19 @@
 Fit, transform and spans share one front half in two steps. _streams is
 per series: z-normalization (or whitening and collapse) against the series'
 own statistics, then PAA, so a series' stream does not depend on the other
-series it is fitted or transformed with; cross-validation computes it once
-per W and reuses it in every fold. _symbols is per dataset: it pools the
-streams of each mined channel, fits the bin edges on that pool when
-fitting, and discretizes. Fit learns one merge vocabulary per (channel,
-variation). Features are the length-normalized occurrence counts of base
-symbols and supported patterns in each series' final token stream, pruned
-of zero-variance and highly correlated columns.
+series it is fitted or transformed with; for cross-validation,
+_shared_streams computes it once per W and every fold slices it. _symbols
+is per dataset: it pools the streams of each mined channel, fits the bin
+edges on that pool when fitting, and discretizes. Fit learns one merge
+vocabulary per (channel, variation). Features are the length-normalized
+occurrence counts of base symbols and supported patterns in each series'
+final token stream, pruned of zero-variance and highly correlated columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -143,6 +143,25 @@ def _require_group_ids(dataset: Dataset) -> None:
     require_group_ids((f"series {ts.id!r}" for ts in dataset),
                       (ts.group_id for ts in dataset),
                       "centroid augmentation requires one per series")
+
+
+def _shared_streams(dataset: Dataset, configs: Sequence[PipelineConfig],
+                    centroids: bool
+                    ) -> dict[PipelineConfig, dict[str, list[np.ndarray]]]:
+    """For _fit and _transform on subsets of dataset: fit_pipeline's group
+    id check over the whole dataset, then _streams of all its series at
+    each of configs. A stream depends on W and multivariate_mode only, so
+    configs that share both share one; a subset takes its rows of it."""
+    if centroids:
+        _require_group_ids(dataset)
+    computed: dict[tuple, dict[str, list[np.ndarray]]] = {}
+    shared = {}
+    for config in configs:
+        key = (config.W, config.multivariate_mode)
+        if key not in computed:
+            computed[key] = _streams(dataset, config, dataset.channels)
+        shared[config] = computed[key]
+    return shared
 
 
 def fit_pipeline(dataset: Dataset, config: PipelineConfig,

@@ -257,33 +257,6 @@ def test_first_quote_after_the_first_block(tmp_path, monkeypatch):
     assert _outcome(naive_csv.read_data_csv, path) == _outcome(read_data_csv, path)
 
 
-def test_crlf_line_ends_take_the_fast_split(tmp_path, monkeypatch):
-    # A CRLF copy reads as its LF original, with the same line numbers in
-    # errors, and after the header none of its lines reach csv.reader.
-    rows = [f"s{i // 10},hr,{i % 10},{i}" for i in range(60)]
-    rows.insert(25, "")
-    good = "series_id,channel,t,value\n" + "\n".join(rows) + "\n"
-    bad = good + "\ns6,hr,x,1\n"
-    records, parsed = data_io._records, []
-
-    def counted(*args):
-        for record in records(*args):
-            parsed.append(record)
-            yield record
-
-    monkeypatch.setattr(data_io, "_records", counted)
-    monkeypatch.setattr(data_io, "BLOCK_CHARS", 64)
-    path = tmp_path / "d.csv"
-    for text in good, bad:
-        path.write_bytes(text.encode())
-        lf = _outcome(read_data_csv, str(path))
-        path.write_bytes(text.replace("\n", "\r\n").encode())
-        parsed.clear()
-        assert _outcome(read_data_csv, str(path)) == lf
-        assert parsed == [(1, data_io.DATA_HEADER)]
-    assert lf == f"{path}:64: t must be an integer, got 'x'"
-
-
 def test_rows_whose_widths_add_up_are_still_line_numbered(tmp_path):
     # 3 + 5 fields fill two 4-field rows; the short row is the error.
     path = _write(tmp_path / "d.csv", "series_id,channel,t,value\n"

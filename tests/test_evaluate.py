@@ -283,7 +283,7 @@ def test_cross_validate_flag_rules_fail_before_any_fit(monkeypatch):
     def no_fit(*args, **kwargs):
         raise AssertionError("a series was preprocessed or a fold fitted")
 
-    monkeypatch.setattr("pdbpe.evaluate._streams", no_fit)
+    monkeypatch.setattr("pdbpe.pipeline._streams", no_fit)
     monkeypatch.setattr("pdbpe.evaluate._fit", no_fit)
     ds = _labeled_dataset(seed=22)
     plan = kfold_split(ds.ids, 4, seed=0)
@@ -339,7 +339,7 @@ def test_cross_validate_rejects_before_any_fit(monkeypatch, case, error,
     def no_fit(*args, **kwargs):
         raise AssertionError("a series was preprocessed or a fold fitted")
 
-    monkeypatch.setattr("pdbpe.evaluate._streams", no_fit)
+    monkeypatch.setattr("pdbpe.pipeline._streams", no_fit)
     monkeypatch.setattr("pdbpe.evaluate._fit", no_fit)
     ds = _labeled_dataset(seed=22)
     case = dict(case)
@@ -357,7 +357,8 @@ def test_cross_validate_preprocesses_each_series_once_per_w(monkeypatch, mode,
                                                             per_series):
     # A stream depends on its own series only, so every fold and grid point
     # slices one stream per series and W: one collapse per series, or one
-    # z-normalization per series and channel.
+    # z-normalization per series and channel. Grid points that differ in K
+    # only share theirs.
     calls = Counter()
     for name in ("collapse_series", "zscore_normalize"):
         def counted(*args, _real=getattr(pipeline, name), _name=name):
@@ -375,7 +376,7 @@ def test_cross_validate_preprocesses_each_series_once_per_w(monkeypatch, mode,
     assert calls == {name: per_series * len(ds)}
     calls.clear()
     cross_validate(ds, config, plan, "classification", knn_k=3,
-                   w_grid=[2, 4], inner_folds=2)
+                   k_grid=[3, 4], w_grid=[2, 4], inner_folds=2)
     assert calls == {name: 2 * per_series * len(ds)}
 
 
@@ -406,7 +407,7 @@ def test_cross_validate_checks_group_ids_before_any_stream(monkeypatch):
     ds = _labeled_dataset(seed=24)
     plan = kfold_split(ds.ids, 4, seed=0)
     faulty, _bad, later = _grouped(ds, plan, missing_group=True)
-    monkeypatch.setattr("pdbpe.evaluate._streams", no_fit)
+    monkeypatch.setattr("pdbpe.pipeline._streams", no_fit)
     monkeypatch.setattr("pdbpe.evaluate._fit", no_fit)
     with pytest.raises(DataError) as info:
         cross_validate(faulty, PipelineConfig(K=4, W=4), plan,
