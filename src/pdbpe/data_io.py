@@ -254,7 +254,7 @@ def read_data_csv(path: str) -> Dataset:
     at least one row for every channel. Each series' length is max(t) + 1,
     and all series together may need at most MAX_SAMPLES samples.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         start, header = next(_records(path, fh), (1, None))
         if header is None:
             raise DataError(f"{path}: empty file, expected header "
@@ -279,7 +279,7 @@ class LabelRecord:
 def read_labels_csv(path: str) -> dict[str, LabelRecord]:
     """Read series_id,label[,group_id] keyed by series id."""
     out: dict[str, LabelRecord] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         records = _records(path, fh)
         _, header = next(records, (1, None))
         if header is None:
@@ -355,7 +355,7 @@ def write_features_csv(matrix: FeatureMatrix, path: str) -> None:
 
 
 def read_features_csv(path: str) -> FeatureMatrix:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         records = _records(path, fh)
         _, header = next(records, (1, None))
         if not header or header[0] != "series_id":
@@ -381,7 +381,7 @@ def read_features_csv(path: str) -> FeatureMatrix:
 def read_config_file(path: str) -> dict[str, str]:
     """Parse a flat key=value config file; '#' starts a comment."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:

@@ -1,9 +1,9 @@
 """Cross-validation harness: fold planning, simple predictors, metrics,
 and nested (K, W) selection.
 
-Each series' PAA stream is computed once per W and shared by every fold and
-grid point: it is normalized (or whitened) against that series' own
-statistics only, so it is the same whichever fold holds the series.
+Each series is normalized (or whitened) once, against its own statistics
+only, and PAA runs once per W of the grid; every fold and grid point shares
+those streams, which are the same whichever fold holds the series.
 Everything fitted on a set of series (bin edges, run-length medians,
 vocabularies, pruning, centroids and the predictor) is refitted per fold on
 its training rows only, so no state learned from held-out rows leaks
@@ -22,7 +22,7 @@ import numpy as np
 from .core import Dataset, PipelineConfig, require_group_ids
 from .errors import DataError, NumericError, UsageError
 from .model_io import fingerprint_model
-from .pipeline import _fit, _shared_streams, _transform
+from .pipeline import _fit, _require_group_ids, _streams, _transform
 
 
 @dataclass(frozen=True)
@@ -281,11 +281,11 @@ def cross_validate(dataset: Dataset, config: PipelineConfig, plan: CvPlan,
     DataError for a (K, W) grid point that PipelineConfig rejects, a knn_k
     above the smallest training split of the plan or of an inner plan, an
     auc positive_label that no series carries or, with centroids, a series
-    without a group id. Only then are the series preprocessed, in dataset
-    order, so a series that cannot be normalized is the first NumericError.
-    The fitted state per fold depends only on that fold's training rows;
-    fingerprints of the fitted models are recorded so tests can verify the
-    separation.
+    without a group id. Only then is each series normalized once, in
+    dataset order, so a series that cannot be normalized is the first
+    NumericError, and PAA runs once per W of the grid. The fitted state per
+    fold depends only on that fold's training rows; fingerprints of the
+    fitted models are recorded so tests can verify the separation.
 
     k_grid and w_grid default to config's K and W. When they hold more than
     one (K, W) point, each fold is fitted with the point of best mean score
@@ -336,15 +336,18 @@ def cross_validate(dataset: Dataset, config: PipelineConfig, plan: CvPlan,
             if knn_k > smallest:
                 raise DataError(f"knn_k={knn_k} exceeds the smallest training "
                                 f"split, {smallest} series")
+    if centroids:
+        _require_group_ids(dataset)
     # A stream depends on its own series only, so every fold and grid
     # point slices its rows from one computed over the whole dataset.
-    streams = _shared_streams(dataset, points, centroids)
+    streams = _streams(dataset, config.multivariate_mode, dataset.channels,
+                       w_grid)
 
     def subset(rows: list[int], point: PipelineConfig):
-        """The series at rows and their streams at point."""
+        """The series at rows and their streams at point.W."""
         return (Dataset(tuple(series[i] for i in rows)),
                 {ch: [stream[i] for i in rows]
-                 for ch, stream in streams[point].items()})
+                 for ch, stream in streams[point.W].items()})
 
     def fit_and_score(train: list[int], test: list[int],
                       point: PipelineConfig):

@@ -106,16 +106,16 @@ def build_schema(channels: Sequence[str], variations: Sequence[Variation],
     return FeatureSchema(columns=tuple(cols))
 
 
-def assemble_matrix(ids: Sequence[str], encoded: dict[tuple[str, Variation], Corpus],
-                    schema: FeatureSchema) -> FeatureMatrix:
-    """Per-series occurrence counts of each column's symbol in the final
-    token streams, divided by the series' token count, over schema.columns.
+def assemble_matrix(n: int, encoded: dict[tuple[str, Variation], Corpus],
+                    schema: FeatureSchema) -> np.ndarray:
+    """The (n x columns) per-series occurrence counts of each column's
+    symbol in the final token streams, divided by the series' token count,
+    over schema.columns.
 
-    encoded maps each (channel, variation) to the encoded corpus of the
-    series in ids, in that order. Symbols consumed by merges are not double
-    counted, and a series with no tokens gets zeros.
+    encoded maps each (channel, variation) to the encoded corpus of the n
+    series. Symbols consumed by merges are not double counted, and a series
+    with no tokens gets zeros.
     """
-    n = len(ids)
     values = np.zeros((n, len(schema.columns)), dtype=np.float64)
     begin = 0
     for key, group in itertools.groupby(schema.columns,
@@ -139,9 +139,7 @@ def assemble_matrix(ids: Sequence[str], encoded: dict[tuple[str, Variation], Cor
         np.divide(counts, lengths, out=values[:, begin:begin + m],
                   where=lengths > 0)
         begin += m
-    return FeatureMatrix(ids=tuple(ids),
-                         names=tuple(c.name for c in schema.columns),
-                         values=values)
+    return values
 
 
 def drop_zero_variance(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -3,11 +3,12 @@
 Fit, transform and spans share one front half in two steps. _streams is
 per series: z-normalization (or whitening and collapse) against the series'
 own statistics, then PAA, so a series' stream does not depend on the other
-series it is fitted or transformed with; for cross-validation,
-_shared_streams computes it once per W and every fold slices it. _symbols
-is per dataset: it pools the streams of each mined channel, fits the bin
-edges on that pool when fitting, and discretizes. Fit learns one merge
-vocabulary per (channel, variation). Features are the length-normalized
+series it is fitted or transformed with. Each series is normalized once and
+PAA runs once per W asked for, so cross-validation takes the streams of
+every W of its grid in one call and every fold slices them. _symbols is per
+dataset: it pools the streams of each mined channel, fits the bin edges on
+that pool when fitting, and discretizes. Fit learns one merge vocabulary
+per (channel, variation). Features are the length-normalized
 occurrence counts of base symbols and supported patterns in each series'
 final token stream, pruned of zero-variance and highly correlated columns.
 """
@@ -76,27 +77,30 @@ def mined_channels_of(channels: tuple[str, ...],
     return channels
 
 
-def _streams(dataset: Dataset, config: PipelineConfig,
-             channels: tuple[str, ...]) -> dict[str, list[np.ndarray]]:
-    """Per mined channel, each series' PAA stream in dataset order. Each
-    series is normalized (or whitened and collapsed) against its own
-    statistics only, with its columns read in the order of channels."""
-    mined = mined_channels_of(channels, config.multivariate_mode)
+def _streams(dataset: Dataset, mode: MultivariateMode,
+             channels: tuple[str, ...], windows: Sequence[int]
+             ) -> dict[int, dict[str, list[np.ndarray]]]:
+    """Per W of windows and mined channel, each series' PAA stream in
+    dataset order. Each series is normalized (or whitened and collapsed)
+    once, against its own statistics only, with its columns read in the
+    order of channels; only PAA runs per W."""
     cols = [dataset.channels.index(ch) for ch in channels]
-    parts: list[list[np.ndarray]] = [[] for _ in mined]
+    streams = {W: {ch: [] for ch in mined_channels_of(channels, mode)}
+               for W in windows}
     for ts in dataset:
         try:
-            if config.multivariate_mode is MultivariateMode.WHITEN_COLLAPSE:
-                collapsed = collapse_series(ts.values.take(cols, axis=1),
-                                            ts.mask.take(cols, axis=1))
-                parts[0].append(paa(collapsed, config.W))
+            if mode is MultivariateMode.WHITEN_COLLAPSE:
+                normalized = [collapse_series(ts.values.take(cols, axis=1),
+                                              ts.mask.take(cols, axis=1))]
             else:
-                for part, j in zip(parts, cols):
-                    normalized = zscore_normalize(ts.values[:, j], ts.mask[:, j])
-                    part.append(paa(normalized, config.W))
+                normalized = [zscore_normalize(ts.values[:, j], ts.mask[:, j])
+                              for j in cols]
         except NumericError as exc:
             raise NumericError(f"series {ts.id!r}: {exc}") from None
-    return dict(zip(mined, parts))
+        for W, parts in streams.items():
+            for part, values in zip(parts.values(), normalized):
+                part.append(paa(values, W))
+    return streams
 
 
 def _symbols(streams: dict[str, list[np.ndarray]], config: PipelineConfig,
@@ -145,25 +149,6 @@ def _require_group_ids(dataset: Dataset) -> None:
                       "centroid augmentation requires one per series")
 
 
-def _shared_streams(dataset: Dataset, configs: Sequence[PipelineConfig],
-                    centroids: bool
-                    ) -> dict[PipelineConfig, dict[str, list[np.ndarray]]]:
-    """For _fit and _transform on subsets of dataset: fit_pipeline's group
-    id check over the whole dataset, then _streams of all its series at
-    each of configs. A stream depends on W and multivariate_mode only, so
-    configs that share both share one; a subset takes its rows of it."""
-    if centroids:
-        _require_group_ids(dataset)
-    computed: dict[tuple, dict[str, list[np.ndarray]]] = {}
-    shared = {}
-    for config in configs:
-        key = (config.W, config.multivariate_mode)
-        if key not in computed:
-            computed[key] = _streams(dataset, config, dataset.channels)
-        shared[config] = computed[key]
-    return shared
-
-
 def fit_pipeline(dataset: Dataset, config: PipelineConfig,
                  centroids: bool = False) -> tuple[FittedModel, FeatureMatrix]:
     """Fit the full pipeline on a training dataset.
@@ -177,12 +162,14 @@ def fit_pipeline(dataset: Dataset, config: PipelineConfig,
     if centroids:
         _require_group_ids(dataset)
     return _fit(dataset, config, centroids,
-                _streams(dataset, config, dataset.channels))
+                _streams(dataset, config.multivariate_mode, dataset.channels,
+                         [config.W])[config.W])
 
 
 def _fit(dataset: Dataset, config: PipelineConfig, centroids: bool,
          streams: dict[str, list[np.ndarray]]) -> tuple[FittedModel, FeatureMatrix]:
-    """fit_pipeline on a checked dataset whose _streams at config are given."""
+    """fit_pipeline on a checked dataset whose _streams at config.W are
+    given."""
     n = len(dataset)
     symbols, discretizers = _symbols(streams, config)
     rcsm_medians = {ch: fit_rcsm_medians(corpus)
@@ -196,13 +183,13 @@ def _fit(dataset: Dataset, config: PipelineConfig, centroids: bool,
 
     schema = build_schema(tuple(symbols), config.variations, vocabularies, n,
                           config.P, config.K)
-    raw = assemble_matrix(dataset.ids, encoded, schema)
+    raw = assemble_matrix(n, encoded, schema)
 
     n_cols = len(schema.columns)
     # Pruning statistics are undefined for a single row; it keeps everything.
     variance_kept = final_kept = np.ones(n_cols, dtype=bool)
     if n >= 2:
-        surviving, variance_kept = drop_zero_variance(raw.values)
+        surviving, variance_kept = drop_zero_variance(raw)
         _, corr_kept_rel = prune_correlated(surviving, config.correlation_threshold)
         final_kept = np.zeros(n_cols, dtype=bool)
         final_kept[np.flatnonzero(variance_kept)[corr_kept_rel]] = True
@@ -215,7 +202,7 @@ def _fit(dataset: Dataset, config: PipelineConfig, centroids: bool,
                         vocabularies=vocabularies, schema=schema,
                         centroids=centroids)
     return model, FeatureMatrix(ids=dataset.ids, names=model.output_names(),
-                                values=_output_values(model, dataset, raw.values))
+                                values=_output_values(model, dataset, raw))
 
 
 def transform_dataset(model: FittedModel, dataset: Dataset) -> FeatureMatrix:
@@ -229,19 +216,21 @@ def transform_dataset(model: FittedModel, dataset: Dataset) -> FeatureMatrix:
     _check_channels(dataset, model.channels)
     if model.centroids:
         _require_group_ids(dataset)
+    config = model.config
     return _transform(model, dataset,
-                      _streams(dataset, model.config, model.channels))
+                      _streams(dataset, config.multivariate_mode,
+                               model.channels, [config.W])[config.W])
 
 
 def _transform(model: FittedModel, dataset: Dataset,
                streams: dict[str, list[np.ndarray]]) -> FeatureMatrix:
     """transform_dataset on a checked dataset whose _streams at the model's
-    config are given."""
+    W are given."""
     symbols, _ = _symbols(streams, model.config, model.discretizers)
     encoded = {key: encode_corpus(corpus, model.vocabularies[key])
                for key, corpus in _views(symbols, model.config,
                                          model.rcsm_medians)}
-    raw = assemble_matrix(dataset.ids, encoded, model.schema).values
+    raw = assemble_matrix(len(dataset), encoded, model.schema)
     return FeatureMatrix(ids=dataset.ids, names=model.output_names(),
                          values=_output_values(model, dataset, raw))
 
@@ -289,8 +278,9 @@ def pattern_spans(model: FittedModel, dataset: Dataset,
     """
     _check_channels(dataset, model.channels)
     config = model.config
-    symbols, _ = _symbols(_streams(dataset, config, model.channels), config,
-                          model.discretizers)
+    streams = _streams(dataset, config.multivariate_mode, model.channels,
+                       [config.W])[config.W]
+    symbols, _ = _symbols(streams, config, model.discretizers)
     ids = dataset.ids
     length = [ts.length for ts in dataset]
     by_view: dict[tuple[str, Variation], list[FeatureDescriptor]] = {}

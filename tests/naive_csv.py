@@ -31,7 +31,8 @@ def read_data_csv(path: str) -> Dataset:
     max_t = data_io.MAX_T
     per_series: dict[str, dict[str, dict[int, float]]] = {}
     channel_order: list[str] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig skips a byte-order mark at the start of the file only.
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         records = _records(path, fh)
         _, header = next(records, (1, None))
         if header is None:

@@ -529,7 +529,7 @@ def _evaluate_rejected(tmp_path, capsys, monkeypatch, labels, flags):
     def no_fit(*args, **kwargs):
         raise AssertionError("a series was preprocessed or a fold fitted")
 
-    monkeypatch.setattr("pdbpe.pipeline._streams", no_fit)
+    monkeypatch.setattr("pdbpe.evaluate._streams", no_fit)
     monkeypatch.setattr("pdbpe.evaluate._fit", no_fit)
     code = main(["evaluate", "--data", data, "--labels", class_labels,
                  "--k", "4", "--w", "3", "--folds", "3",

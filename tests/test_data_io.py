@@ -2,6 +2,7 @@
 
 import csv
 import random
+import re
 
 import numpy as np
 import pytest
@@ -323,6 +324,54 @@ def test_read_data_bad_header_rejected(tmp_path):
     path = _write(tmp_path / "d.csv", "sid,ch,t,v\na,hr,0,1\n")
     with pytest.raises(DataError, match="header"):
         read_data_csv(path)
+
+
+def _read_back(reader, path):
+    """What reader gives for path, in a form == can compare."""
+    out = reader(path)
+    if reader is read_data_csv:
+        return [(ts.id, ts.channels, ts.values.tolist(), ts.mask.tolist())
+                for ts in out]
+    if reader is read_features_csv:
+        return out.ids, out.names, out.values.tolist()
+    return out
+
+
+# Spreadsheet tools often begin a UTF-8 CSV with a byte-order mark.
+@pytest.mark.parametrize("reader,text", [
+    (read_data_csv, "series_id,channel,t,value\na,hr,0,1.5\na,hr,1,2\n"),
+    # A quoted field takes the csv.reader path.
+    (read_data_csv, 'series_id,channel,t,value\n"a,b",hr,0,1.5\n'),
+    (read_labels_csv, "series_id,label,group_id\na,x,g\n"),
+    (read_features_csv, "series_id,v.original.S0\na,0.5\n"),
+    (read_config_file, "K = 5\nW=4\n")],
+    ids=["data-fast-split", "data-csv-reader", "labels", "features",
+         "config"])
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, reader, text):
+    plain = tmp_path / "plain"
+    plain.write_text(text, encoding="utf-8")
+    marked = tmp_path / "marked"
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+    assert _read_back(reader, str(marked)) == _read_back(reader, str(plain))
+
+
+def test_a_byte_order_mark_after_the_start_stays_data(tmp_path):
+    twice = tmp_path / "twice.csv"
+    twice.write_text("\ufeff\ufeffseries_id,channel,t,value\na,hr,0,1\n",
+                     encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape("['\\ufeffseries_id'")):
+        read_data_csv(str(twice))
+    data = tmp_path / "d.csv"
+    data.write_text("series_id,channel,t,value\n\ufeffa,hr,0,1\n",
+                    encoding="utf-8")
+    assert read_data_csv(str(data)).ids == ("\ufeffa",)
+    labels = tmp_path / "l.csv"
+    labels.write_text("series_id,label\na,\ufeffx\n", encoding="utf-8")
+    assert read_labels_csv(str(labels))["a"].label == "\ufeffx"
+    config = tmp_path / "c.cfg"
+    config.write_text("W=4\n\ufeffK=5\n", encoding="utf-8")
+    assert read_config_file(str(config)) == {"W": "4", "\ufeffK": "5"}
 
 
 def test_labels_round_trip_and_attach(tmp_path):

@@ -283,7 +283,7 @@ def test_cross_validate_flag_rules_fail_before_any_fit(monkeypatch):
     def no_fit(*args, **kwargs):
         raise AssertionError("a series was preprocessed or a fold fitted")
 
-    monkeypatch.setattr("pdbpe.pipeline._streams", no_fit)
+    monkeypatch.setattr("pdbpe.evaluate._streams", no_fit)
     monkeypatch.setattr("pdbpe.evaluate._fit", no_fit)
     ds = _labeled_dataset(seed=22)
     plan = kfold_split(ds.ids, 4, seed=0)
@@ -339,7 +339,7 @@ def test_cross_validate_rejects_before_any_fit(monkeypatch, case, error,
     def no_fit(*args, **kwargs):
         raise AssertionError("a series was preprocessed or a fold fitted")
 
-    monkeypatch.setattr("pdbpe.pipeline._streams", no_fit)
+    monkeypatch.setattr("pdbpe.evaluate._streams", no_fit)
     monkeypatch.setattr("pdbpe.evaluate._fit", no_fit)
     ds = _labeled_dataset(seed=22)
     case = dict(case)
@@ -353,12 +353,12 @@ def test_cross_validate_rejects_before_any_fit(monkeypatch, case, error,
 
 @pytest.mark.parametrize("mode,per_series", [
     (MultivariateMode.PER_CHANNEL, 2), (MultivariateMode.WHITEN_COLLAPSE, 1)])
-def test_cross_validate_preprocesses_each_series_once_per_w(monkeypatch, mode,
-                                                            per_series):
+def test_cross_validate_preprocesses_each_series_once(monkeypatch, mode,
+                                                      per_series):
     # A stream depends on its own series only, so every fold and grid point
-    # slices one stream per series and W: one collapse per series, or one
-    # z-normalization per series and channel. Grid points that differ in K
-    # only share theirs.
+    # slices one stream per series and W, and only PAA runs per W: one
+    # collapse per series, or one z-normalization per series and channel,
+    # whatever the grid.
     calls = Counter()
     for name in ("collapse_series", "zscore_normalize"):
         def counted(*args, _real=getattr(pipeline, name), _name=name):
@@ -377,7 +377,7 @@ def test_cross_validate_preprocesses_each_series_once_per_w(monkeypatch, mode,
     calls.clear()
     cross_validate(ds, config, plan, "classification", knn_k=3,
                    k_grid=[3, 4], w_grid=[2, 4], inner_folds=2)
-    assert calls == {name: 2 * per_series * len(ds)}
+    assert calls == {name: per_series * len(ds)}
 
 
 def _grouped(ds, plan, missing_group):
@@ -407,7 +407,7 @@ def test_cross_validate_checks_group_ids_before_any_stream(monkeypatch):
     ds = _labeled_dataset(seed=24)
     plan = kfold_split(ds.ids, 4, seed=0)
     faulty, _bad, later = _grouped(ds, plan, missing_group=True)
-    monkeypatch.setattr("pdbpe.pipeline._streams", no_fit)
+    monkeypatch.setattr("pdbpe.evaluate._streams", no_fit)
     monkeypatch.setattr("pdbpe.evaluate._fit", no_fit)
     with pytest.raises(DataError) as info:
         cross_validate(faulty, PipelineConfig(K=4, W=4), plan,
@@ -425,10 +425,14 @@ def test_cross_validate_names_a_degenerate_series(mode, reason):
     ds = _labeled_dataset(seed=24)
     plan = kfold_split(ds.ids, 4, seed=0)
     faulty, bad, _later = _grouped(ds, plan, missing_group=False)
-    with pytest.raises(NumericError) as info:
-        cross_validate(faulty, PipelineConfig(K=4, W=4, multivariate_mode=mode),
-                       plan, "classification", centroids=True)
-    assert str(info.value) == f"series {bad!r}: {reason}"
+    # A W grid normalizes each series once too, so it names the same one.
+    for w_grid in (None, [2, 4]):
+        with pytest.raises(NumericError) as info:
+            cross_validate(faulty,
+                           PipelineConfig(K=4, W=4, multivariate_mode=mode),
+                           plan, "classification", centroids=True,
+                           w_grid=w_grid)
+        assert str(info.value) == f"series {bad!r}: {reason}"
 
 
 def _oracle_pick(train, inner, points, task, **kwargs):
@@ -536,6 +540,13 @@ _PINNED_FOLDS = {
     "nested-auc-w-grid": [(3, 8, "0x1.c28f5c28f5c29p-1"),
                           (3, 2, "0x1.2000000000000p-1"),
                           (3, 2, "0x1.3555555555555p-1")],
+    # Recorded when each W of a grid still normalized every series again.
+    "nested-whiten-w-grid": [(3, 4, "0x1.999999999999ap-2"),
+                             (3, 2, "0x1.999999999999ap-2"),
+                             (3, 4, "0x1.3333333333333p-1")],
+    "nested-centroids-w-grid": [(3, 8, "0x1.999999999999ap-2"),
+                                (3, 8, "0x1.999999999999ap-1"),
+                                (3, 8, "0x1.6666666666666p-1")],
 }
 
 
@@ -549,8 +560,22 @@ def test_cross_validate_fold_values_are_pinned(case):
     numeric = Dataset(tuple(
         ts.with_annotations(label=str((i * 7) % 5 * 0.5 + (ts.label == "A")))
         for i, ts in enumerate(ds)))
+    rng = np.random.default_rng(32)
+    # A second channel that mixes the first with fresh noise, so whitening
+    # has a correlation to remove.
+    two = Dataset(tuple(TimeSeries(
+        id=ts.id, channels=("a", "b"),
+        values=np.column_stack([ts.values[:, 0], 0.6 * ts.values[:, 0]
+                                + rng.normal(0.0, 0.5, ts.length)]),
+        mask=np.ones((ts.length, 2), dtype=bool), label=ts.label)
+        for ts in ds))
+    grouped = Dataset(tuple(ts.with_annotations(group_id=f"g{i % 6}")
+                            for i, ts in enumerate(ds)))
     plan = kfold_split(ds.ids, 3, seed=1)
+    group_plan = kfold_split(grouped.ids, 3, seed=1,
+                             group_ids=[ts.group_id for ts in grouped])
     config = PipelineConfig(K=3, W=4)
+    whiten = replace(config, multivariate_mode=MultivariateMode.WHITEN_COLLAPSE)
     few_columns = PipelineConfig(K=3, W=8, P=0.5,
                                  variations=(Variation.ORIGINAL,))
     runs = {
@@ -576,6 +601,12 @@ def test_cross_validate_fold_values_are_pinned(case):
         "nested-auc-w-grid": lambda: cross_validate(
             ds, config, plan, "classification", metric="auc", knn_k=4,
             w_grid=[2, 4, 8], inner_folds=2),
+        "nested-whiten-w-grid": lambda: cross_validate(
+            two, whiten, plan, "classification", knn_k=3, w_grid=[2, 4],
+            inner_folds=2),
+        "nested-centroids-w-grid": lambda: cross_validate(
+            grouped, config, group_plan, "classification", knn_k=3,
+            centroids=True, w_grid=[4, 8], inner_folds=2),
     }
     result = runs[case]()
     got = [f.value.hex() for f in result.folds]

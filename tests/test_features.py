@@ -71,9 +71,8 @@ def _count_rows(sequences, symbols):
     columns = tuple(FeatureDescriptor("v", Variation.ORIGINAL, s, (s,),
                                       f"v.original.S{s}", False)
                     for s in symbols)
-    ids = [f"s{i}" for i in range(len(sequences))]
     encoded = {("v", Variation.ORIGINAL): corpus_of(sequences)}
-    return assemble_matrix(ids, encoded, FeatureSchema(columns)).values
+    return assemble_matrix(len(sequences), encoded, FeatureSchema(columns))
 
 
 def test_count_features_normalizes_by_encoded_length():
@@ -89,12 +88,11 @@ def test_assemble_matrix_row_and_column_order():
                           n_series=1, P=0.2, K=2)
     encoded = {("v", Variation.ORIGINAL):
                corpus_of([[2, 2, 2], [0, 0, 1]])}
-    mat = assemble_matrix(["a", "b"], encoded, schema)
-    assert mat.ids == ("a", "b")
-    assert np.allclose(mat.values[0], [0.0, 0.0, 1.0])
-    assert np.allclose(mat.values[1], [2 / 3, 1 / 3, 0.0])
+    values = assemble_matrix(2, encoded, schema)
+    assert np.allclose(values[0], [0.0, 0.0, 1.0])
+    assert np.allclose(values[1], [2 / 3, 1 / 3, 0.0])
     with pytest.raises(DataError):
-        assemble_matrix(["a"], {}, schema)
+        assemble_matrix(1, {}, schema)
 
 
 def test_drop_zero_variance_floor():

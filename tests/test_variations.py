@@ -195,9 +195,9 @@ def _count_matrix(corpus, symbols):
     columns = tuple(FeatureDescriptor("v", Variation.ORIGINAL, s, (s,),
                                       f"v.original.S{s}", False)
                     for s in symbols)
-    ids = [f"s{i}" for i in range(corpus.n_series)]
-    return assemble_matrix(ids, {("v", Variation.ORIGINAL): corpus},
-                           FeatureSchema(columns)).values
+    return assemble_matrix(corpus.n_series,
+                           {("v", Variation.ORIGINAL): corpus},
+                           FeatureSchema(columns))
 
 
 def test_flat_views_match_per_series_reference():
