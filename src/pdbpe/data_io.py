@@ -8,16 +8,17 @@ bit-exactly.
 
 A data CSV is read in blocks of whole lines, about BLOCK_CHARS characters
 each, and every block becomes coded columns (series code, channel code, t,
-value) without a list or dict per row. Two tokenizers split the blocks:
+value) without a list or dict per row. Two tokenizers read the blocks:
 
-- The fast one splits lines on "\n" and fields on ",". It runs on every
-  block with no '"', "\r" or NUL, no line longer than
-  csv.field_size_limit() and four fields on every non-blank line; on such
-  text csv.reader finds exactly the same fields.
-- From the first block that breaks any of these, that block and the rest of
-  the file go through csv.reader, which parses quoted fields (also across
-  lines) and reports malformed text. Files with CRLF line ends take this
-  path throughout.
+- One np.loadtxt call (numpy's C tokenizer) parses each block with no '"',
+  "\r" or NUL and no line longer than csv.field_size_limit(): csv.reader
+  finds the same fields there. loadtxt reads value as float() does or
+  raises, and t too, as int() does, in a block of ASCII lines of up to 640
+  characters; in any other block int() reads t.
+- From the first block that breaks any of these, that loadtxt cannot parse
+  (such as "1_0") or that holds an invalid record, that block and the rest
+  of the file go through csv.reader, which parses quoted fields (also
+  across lines) and reports the first bad record. CRLF files go this way.
 
 Bad rows are found by whole-column checks and then reported as the first
 failing row in file order. Memory follows the number of rows and samples,
@@ -26,6 +27,7 @@ not the length of the file's text.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import math
@@ -48,6 +50,17 @@ MAX_SAMPLES = 2**26
 BLOCK_CHARS = 2**18
 
 
+@contextlib.contextmanager
+def open_text(path: str, newline: str | None = None) -> Iterator[IO[str]]:
+    """path opened to read as UTF-8 text, skipping a byte-order mark at its
+    start; bytes that are not UTF-8 are a DataError that names the file."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def _records(path: str, lines: Iterable[str],
              start: int = 0) -> Iterator[tuple[int, list[str]]]:
     """(line number, fields) of each CSV record in lines, numbered by the
@@ -62,53 +75,17 @@ def _records(path: str, lines: Iterable[str],
                         f"{exc}") from None
 
 
-def _split_block(lines: list[str],
-                 start: int) -> tuple[Sequence[int], list[str]] | None:
-    """(line numbers, fields) of the non-blank lines, which follow line
-    start, when the fast split gives csv.reader's fields and four of them
-    on every line; otherwise None."""
-    text = "".join(lines)
-    if ('"' in text or "\r" in text or "\0" in text
-            or max(map(len, lines)) > csv.field_size_limit()):
-        return None
-    numbers: Sequence[int] = range(start + 1, start + len(lines) + 1)
-    if "\n" in lines:  # csv.reader gives no fields for a blank line
-        numbers = np.array([k for k, line in zip(numbers, lines)
-                            if line != "\n"], dtype=np.int64)
-        text = "".join(line for line in lines if line != "\n")
-    if not text.endswith("\n"):
-        text += "\n"
-    # Every line end becomes a "\n" field of its own; the lines are 4
-    # fields wide exactly when those are every fifth field.
-    fields = text.replace("\n", ",\n,").split(",")
-    del fields[-1]
-    if (len(fields) != 5 * len(numbers)
-            or fields[4::5].count("\n") != len(numbers)):
-        return None
-    del fields[4::5]
-    return numbers, fields
-
-
-def _data_blocks(path: str, fh: IO[str],
-                 start: int) -> Iterator[tuple[Sequence[int], list[str], str | None]]:
-    """(line numbers, fields, error) of each block of data records after
-    line start: 4 fields per record, blank records dropped. A non-None
-    error is the message for the record right after the block; no block
-    follows it."""
-    while True:
-        lines = fh.readlines(BLOCK_CHARS)
-        if not lines:
-            return
-        split = _split_block(lines, start)
-        if split is None:
-            break
-        yield *split, None
-        start += len(lines)
+def _data_blocks(path: str, lines: Iterable[str],
+                 start: int) -> Iterator[tuple[np.ndarray, list[str], str | None]]:
+    """(line numbers, fields, error) of each block of data records that
+    csv.reader reads from lines, which follow line start: 4 fields per
+    record, blank records dropped. A non-None error is the message for the
+    record right after the block; no block follows it."""
     numbers: list[int] = []
     fields: list[str] = []
     error = None
     try:
-        for lineno, row in _records(path, itertools.chain(lines, fh), start):
+        for lineno, row in _records(path, lines, start):
             if not row:
                 continue
             if len(row) != 4:
@@ -116,7 +93,7 @@ def _data_blocks(path: str, fh: IO[str],
                 break
             numbers.append(lineno)
             fields += row
-            # About as many rows as a fast block of 64-character lines.
+            # About as many rows as a block of 64-character lines.
             if 64 * len(numbers) >= BLOCK_CHARS:
                 yield np.array(numbers, dtype=np.int64), fields, None
                 numbers, fields = [], []
@@ -156,35 +133,77 @@ class _Columns:
         self.blocks: list[tuple[Sequence[int], np.ndarray, np.ndarray,
                                 np.ndarray, np.ndarray]] = []
 
+    def parse(self, lines: list[str], start: int) -> bool:
+        """Code the records of lines, which follow line start, with one
+        np.loadtxt call; False, with nothing coded, when the block needs
+        csv.reader, loadtxt cannot parse it or a record is invalid."""
+        text, longest = "".join(lines), max(map(len, lines))
+        if ('"' in text or "\r" in text or "\0" in text
+                or longest > csv.field_size_limit()):
+            return False
+        numbers: Sequence[int] = range(start + 1, start + len(lines) + 1)
+        if "\n" in lines:  # neither reader gives a record for a blank line
+            numbers = np.array([k for k, line in zip(numbers, lines)
+                                if line != "\n"], dtype=np.int64)
+        if not len(numbers):
+            return True  # loadtxt warns on a block with no data
+        # numpy's int64 parser reads some non-ASCII letters as digits, and
+        # more digits than int() may (at least 640): t is then read by int().
+        t_type = "O" if not text.isascii() or longest > 640 else "i8"
+        try:
+            rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
+                              dtype=[("s", "O"), ("c", "O"), ("t", t_type),
+                                     ("v", "f8")])
+            t = rows["t"].astype(np.int64)
+        except (ValueError, OverflowError):
+            return False
+        # Copied, so that no view keeps the block's str objects alive.
+        return rows.size == len(numbers) and self._extend(
+            numbers, rows["s"], rows["c"], t, rows["v"].copy())
+
     def add(self, numbers: Sequence[int], fields: list[str]) -> str | None:
-        """Code the records of a block. At its first bad record, code only
-        the records before it and return that record's error message."""
+        """Code the records csv.reader gave for a block. At its first bad
+        record, code only those before it and return its error message."""
         n = len(numbers)
         if not n:
             return None
-        sid, channel, t_raw, v_raw = (list(map(str.strip, fields[k::4]))
-                                      for k in range(4))
+        sid, channel, t_raw, v_raw = np.array(
+            [f.strip() for f in fields], dtype=object).reshape(n, 4).T
         try:
             t = np.fromiter(map(int, t_raw), np.int64, n)
             value = np.fromiter(map(float, v_raw), np.float64, n)
-            valid = ("" not in sid and "" not in channel and t.min() >= 0
-                     and t.max() <= MAX_T and np.isfinite(value).all())
         except (ValueError, OverflowError):
-            valid = False
-        if not valid:
-            for i, row in enumerate(zip(sid, channel, t_raw, v_raw)):
-                message = _row_error(*row)
-                if message:
-                    break
-            self.add(numbers[:i], fields[:4 * i])
-            return f"{self.path}:{numbers[i]}: {message}"
-        codes = []
-        for names, index in ((sid, self.series), (channel, self.channels)):
-            for name in dict.fromkeys(names):
-                index.setdefault(name, len(index))
-            codes.append(np.fromiter(map(index.__getitem__, names), np.int32, n))
+            t = None  # a t or value that int() or float() rejects
+        if t is not None and self._extend(numbers, sid, channel, t, value):
+            return None
+        for i, row in enumerate(zip(sid, channel, t_raw, v_raw)):
+            message = _row_error(*row)
+            if message:
+                break
+        self.add(numbers[:i], fields[:4 * i])
+        return f"{self.path}:{numbers[i]}: {message}"
+
+    def _extend(self, numbers: Sequence[int], sid: np.ndarray,
+                channel: np.ndarray, t: np.ndarray, value: np.ndarray) -> bool:
+        """Code a block's records from its raw names (object arrays), t and
+        value; False, with nothing coded, when a record is invalid. Names
+        are stripped and looked up once per run of equal raw strings."""
+        if not (t.min() >= 0 and t.max() <= MAX_T
+                and np.isfinite(value).all()):
+            return False
+        runs = []
+        for names in (sid, channel):
+            starts = np.flatnonzero(np.r_[True, names[1:] != names[:-1]])
+            keys = [name.strip() for name in names[starts]]
+            if "" in keys:
+                return False
+            runs.append((keys, np.diff(starts, append=names.size)))
+        codes = [np.repeat(np.array([index.setdefault(key, len(index))
+                                     for key in keys], np.int32), lengths)
+                 for (keys, lengths), index in zip(runs, (self.series,
+                                                          self.channels))]
         self.blocks.append((numbers, *codes, t.astype(np.int32), value))
-        return None
+        return True
 
     def fail(self, message: str | None) -> NoReturn:
         """Raise the first record, in file order, that repeats an earlier
@@ -254,7 +273,7 @@ def read_data_csv(path: str) -> Dataset:
     at least one row for every channel. Each series' length is max(t) + 1,
     and all series together may need at most MAX_SAMPLES samples.
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    with open_text(path, newline="") as fh:
         start, header = next(_records(path, fh), (1, None))
         if header is None:
             raise DataError(f"{path}: empty file, expected header "
@@ -263,10 +282,15 @@ def read_data_csv(path: str) -> Dataset:
             raise DataError(f"{path}:1: bad header {header!r}, expected "
                             f"{','.join(DATA_HEADER)}")
         columns = _Columns(path)
-        for numbers, fields, error in _data_blocks(path, fh, start):
-            message = columns.add(numbers, fields) or error
-            if message:
-                columns.fail(message)
+        while ((lines := fh.readlines(BLOCK_CHARS))
+               and columns.parse(lines, start)):
+            start += len(lines)
+        if lines:  # this block and the rest of the file go to csv.reader
+            for numbers, fields, error in _data_blocks(
+                    path, itertools.chain(lines, fh), start):
+                message = columns.add(numbers, fields) or error
+                if message:
+                    columns.fail(message)
     return columns.dataset()
 
 
@@ -279,7 +303,7 @@ class LabelRecord:
 def read_labels_csv(path: str) -> dict[str, LabelRecord]:
     """Read series_id,label[,group_id] keyed by series id."""
     out: dict[str, LabelRecord] = {}
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    with open_text(path, newline="") as fh:
         records = _records(path, fh)
         _, header = next(records, (1, None))
         if header is None:
@@ -355,7 +379,7 @@ def write_features_csv(matrix: FeatureMatrix, path: str) -> None:
 
 
 def read_features_csv(path: str) -> FeatureMatrix:
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    with open_text(path, newline="") as fh:
         records = _records(path, fh)
         _, header = next(records, (1, None))
         if not header or header[0] != "series_id":
@@ -381,7 +405,7 @@ def read_features_csv(path: str) -> FeatureMatrix:
 def read_config_file(path: str) -> dict[str, str]:
     """Parse a flat key=value config file; '#' starts a comment."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:

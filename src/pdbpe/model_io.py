@@ -22,6 +22,7 @@ import numpy as np
 
 from .core import (PipelineConfig, Variation, parse_multivariate_mode,
                    parse_variation)
+from .data_io import open_text
 from .discretize import Discretizer
 from .errors import DataError
 from .features import FeatureDescriptor, build_schema
@@ -203,7 +204,7 @@ def save_model(model: FittedModel, path: str) -> None:
 
 def load_model(path: str) -> FittedModel:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_text(path) as fh:
             doc = json.load(fh)
     except (json.JSONDecodeError, RecursionError) as exc:
         # RecursionError: nesting deeper than the parser's recursion limit.

@@ -55,6 +55,29 @@ def test_discover_transform_round_trip(tmp_path, capsys):
     assert feats_path.read_bytes() == feats2.read_bytes()
 
 
+def test_transform_reads_a_model_with_a_byte_order_mark(tmp_path):
+    data, _ = _write_motif_corpus(tmp_path)
+    model, marked = tmp_path / "model.json", tmp_path / "marked.json"
+    assert main(["discover", "--data", data, "--k", "4", "--w", "3",
+                 "--model-out", str(model),
+                 "--features-out", str(tmp_path / "train.csv")]) == 0
+    marked.write_bytes(b"\xef\xbb\xbf" + model.read_bytes())
+    for path, out in ((model, "a.csv"), (marked, "b.csv")):
+        assert main(["transform", "--model", str(path), "--data", data,
+                     "--features-out", str(tmp_path / out)]) == 0
+    assert ((tmp_path / "a.csv").read_bytes()
+            == (tmp_path / "b.csv").read_bytes())
+
+
+def test_data_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
+    data = tmp_path / "bad.csv"
+    data.write_bytes(b"series_id,channel,t,value\na,hr,0,\xff\n")
+    assert main(["discover", "--data", str(data), "--k", "4", "--w", "2",
+                 "--model-out", str(tmp_path / "m.json"),
+                 "--features-out", str(tmp_path / "f.csv")]) == 2
+    assert f"{data}: not UTF-8 text: " in capsys.readouterr().err
+
+
 def test_discover_reports_pattern_and_feature_counts(tmp_path, capsys):
     # A single series cycling 0,1,2,3 eight times mines exactly six rules:
     # the three pair merges of the cycle, then three doubling merges of the

@@ -3,6 +3,7 @@
 import csv
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -145,12 +146,17 @@ def test_total_samples_bound_is_inclusive(tmp_path, monkeypatch):
         read_data_csv(path)
 
 
-_IDS = ["s0", "s1", "s2", " s1 ", "é", "系列", "a,b", 'q"x', "a\nb", "s\x00"]
+_IDS = ["s0", "s1", "s2", " s1 ", "é", "系列", "a,b", 'q"x', "a\nb",
+        "s\x00", "#c", "a\x1c"]
 _CHANNELS = ["hr", "bp", " hr", "h\r"]
+# Forms on which numpy's number rules and Python's could differ; some are
+# valid, and both readers must agree on every one.
+_EDGE_NUMBERS = ["\x1c3", "3\xa0", " 3", "\x0b3", "Infinity", "1E-400",
+                 "+.5e+2", "00012", "-0", "3 4", "3\u01fe", "0" * 4300 + "3"]
 _BAD_T = ["x", "-1", "16777216", "10000000000000", " 3 ", "+2", "1_0", "٣",
-          "", "3.0", "9" * 40]
+          "", "3.0", "9" * 40, *_EDGE_NUMBERS]
 _BAD_V = ["oops", "nan", "inf", "-inf", "1e400", " 1.5 ", "-0.0", "",
-          "1_0.5", "٣", "0x1"]
+          "1_0.5", "٣", "0x1", *_EDGE_NUMBERS]
 
 
 def _field(rnd, text, quote_rate):
@@ -246,8 +252,8 @@ def test_read_data_matches_naive_reader(tmp_path, monkeypatch):
 
 
 def test_first_quote_after_the_first_block(tmp_path, monkeypatch):
-    # The fast tokenizer splits the early blocks; csv.reader takes over at
-    # the block with the quote, and later line numbers stay right.
+    # np.loadtxt parses the early blocks; csv.reader takes over at the
+    # block with the quote, and later line numbers stay right.
     rows = [f"s{i // 10},hr,{i % 10},{i}" for i in range(60)]
     rows[40] = '"s4",hr,0,40'
     path = _write(tmp_path / "d.csv", "series_id,channel,t,value\n"
@@ -256,6 +262,75 @@ def test_first_quote_after_the_first_block(tmp_path, monkeypatch):
     with pytest.raises(DataError, match=r"d\.csv:62: t must be an integer"):
         read_data_csv(path)
     assert _outcome(naive_csv.read_data_csv, path) == _outcome(read_data_csv, path)
+
+
+def _count_records_calls(monkeypatch, limit=None):
+    """The calls made to data_io._records from now on; one past limit
+    fails."""
+    calls = []
+    records = data_io._records
+
+    def counted(*args):
+        calls.append(args)
+        assert limit is None or len(calls) <= limit, "csv.reader was used"
+        return records(*args)
+
+    monkeypatch.setattr(data_io, "_records", counted)
+    return calls
+
+
+def test_plain_blocks_never_reach_csv_reader(tmp_path, monkeypatch):
+    rows = [f"s{i // 10},hr,{i % 10},{i / 7!r}\n" for i in range(60)]
+    rows[30:30] = ["\n", "\n"]
+    path = _write(tmp_path / "d.csv", "series_id,channel,t,value\n"
+                  + "".join(rows))
+    monkeypatch.setattr(data_io, "BLOCK_CHARS", 64)
+    blocks = []
+    parse = data_io._Columns.parse
+    monkeypatch.setattr(data_io._Columns, "parse",
+                        lambda self, *a: blocks.append(a) or parse(self, *a))
+    _count_records_calls(monkeypatch, limit=1)  # the header only
+    got = _outcome(read_data_csv, path)
+    assert len(blocks) >= 10
+    assert got == _outcome(naive_csv.read_data_csv, path)
+
+
+def test_a_form_only_python_reads_takes_the_fallback(tmp_path, monkeypatch):
+    rows = [f"s{i // 10},hr,{i % 10},{i}" for i in range(40)]
+    rows[25] = "s2,hr,1_0,25"  # int() reads t = 10; np.loadtxt refuses it
+    path = _write(tmp_path / "d.csv", "series_id,channel,t,value\n"
+                  + "\n".join(rows) + "\n")
+    monkeypatch.setattr(data_io, "BLOCK_CHARS", 64)
+    calls = _count_records_calls(monkeypatch)
+    got = _outcome(read_data_csv, path)
+    assert len(calls) == 2
+    assert got == _outcome(naive_csv.read_data_csv, path)
+    assert read_data_csv(path).series[2].values[10, 0] == 25
+
+
+@pytest.mark.parametrize("text", [
+    "series_id,channel,t,value\na,hr,0,1\n\n\n\na,hr,1,2\n\n",
+    "series_id,channel,t,value\n\n\n"])
+def test_a_block_of_blank_lines_reads_without_warnings(tmp_path, monkeypatch,
+                                                       text):
+    path = _write(tmp_path / "d.csv", text)
+    monkeypatch.setattr(data_io, "BLOCK_CHARS", 1)  # one line per block
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outcome(read_data_csv, path)
+    assert got == _outcome(naive_csv.read_data_csv, path)
+
+
+# numpy's integer parser reads U+01FE as a digit and takes any number of
+# digits; int() refuses both.
+@pytest.mark.parametrize("t", ["3\u01fe", "0" * 4300 + "3"],
+                         ids=["letter", "4301-digits"])
+def test_a_t_that_int_refuses_is_refused(tmp_path, t):
+    path = tmp_path / "d.csv"
+    path.write_bytes(f"series_id,channel,t,value\na,hr,0,1\na,hr,{t},2\n"
+                     .encode("utf-8"))
+    with pytest.raises(DataError, match=r"d\.csv:3: t must be an integer"):
+        read_data_csv(str(path))
 
 
 def test_rows_whose_widths_add_up_are_still_line_numbered(tmp_path):
@@ -354,6 +429,19 @@ def test_a_leading_byte_order_mark_is_skipped(tmp_path, reader, text):
     marked.write_text("\ufeff" + text, encoding="utf-8")
     assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
     assert _read_back(reader, str(marked)) == _read_back(reader, str(plain))
+
+
+@pytest.mark.parametrize("reader,data", [
+    (read_data_csv, b"series_id,channel,t,value\na,hr,0,1\na,hr,1,\xff\n"),
+    (read_labels_csv, b"series_id,label\na,\xff\n"),
+    (read_features_csv, b"series_id,v.original.S0\n\xff,0.5\n"),
+    (read_config_file, b"K = 5\nW = \xff\n")],
+    ids=["data", "labels", "features", "config"])
+def test_bytes_that_are_not_utf8_name_the_file(tmp_path, reader, data):
+    path = tmp_path / "in.txt"
+    path.write_bytes(data)
+    with pytest.raises(DataError, match=r"in\.txt: not UTF-8 text: .*0xff"):
+        reader(str(path))
 
 
 def test_a_byte_order_mark_after_the_start_stays_data(tmp_path):

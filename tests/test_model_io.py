@@ -95,6 +95,22 @@ def test_load_rejects_garbage(tmp_path):
         load_model(str(bad))
 
 
+def test_load_skips_a_leading_byte_order_mark(tmp_path):
+    _, model, _ = _fitted(tmp_path, seed=5)
+    plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+    save_model(model, str(plain))
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert (fingerprint_model(load_model(str(marked)))
+            == fingerprint_model(model))
+
+
+def test_load_names_a_file_that_is_not_utf8(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"format": "\xff"}')
+    with pytest.raises(DataError, match=r"bad\.json: not UTF-8 text"):
+        load_model(str(bad))
+
+
 def test_load_rejects_missing_fields(tmp_path):
     _, model, _ = _fitted(tmp_path, seed=4)
     doc = model_to_dict(model)
