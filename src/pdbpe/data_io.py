@@ -8,17 +8,15 @@ bit-exactly.
 
 A data CSV is read in blocks of whole lines, about BLOCK_CHARS characters
 each, and every block becomes coded columns (series code, channel code, t,
-value) without a list or dict per row. Two tokenizers read the blocks:
-
-- One np.loadtxt call (numpy's C tokenizer) parses each block with no '"',
-  "\r" or NUL and no line longer than csv.field_size_limit(): csv.reader
-  finds the same fields there. loadtxt reads value as float() does or
-  raises, and t too, as int() does, in a block of ASCII lines of up to 640
-  characters; in any other block int() reads t.
-- From the first block that breaks any of these, that loadtxt cannot parse
-  (such as "1_0") or that holds an invalid record, that block and the rest
-  of the file go through csv.reader, which parses quoted fields (also
-  across lines) and reports the first bad record. CRLF files go this way.
+value) without a list or dict per row. One np.loadtxt call (numpy's C
+tokenizer) parses a block with no '"', "\r" or NUL and no line longer than
+csv.field_size_limit(), where csv.reader finds the same fields. It reads
+value as float() does, and t as int() does in a block of ASCII lines of at
+most 640 characters; in any other block int() reads t. A block that breaks
+these rules (every block of a CRLF file does), that loadtxt cannot parse
+(such as t = "1_0") or that holds an invalid record goes through csv.reader,
+which reports the first bad record. As a quoted field may span lines,
+csv.reader reads the rest of the file from the first block with a '"'.
 
 Bad rows are found by whole-column checks and then reported as the first
 failing row in file order. Memory follows the number of rows and samples,
@@ -31,6 +29,7 @@ import contextlib
 import csv
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, NoReturn, Sequence
 
@@ -51,11 +50,11 @@ BLOCK_CHARS = 2**18
 
 
 @contextlib.contextmanager
-def open_text(path: str, newline: str | None = None) -> Iterator[IO[str]]:
-    """path opened to read as UTF-8 text, skipping a byte-order mark at its
-    start; bytes that are not UTF-8 are a DataError that names the file."""
+def open_text(path: str) -> Iterator[IO[str]]:
+    """path opened as UTF-8 text, line ends kept and a leading byte-order
+    mark skipped; bytes that are not UTF-8 are a DataError naming path."""
     try:
-        with open(path, "r", encoding="utf-8-sig", newline=newline) as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
@@ -137,9 +136,8 @@ class _Columns:
         """Code the records of lines, which follow line start, with one
         np.loadtxt call; False, with nothing coded, when the block needs
         csv.reader, loadtxt cannot parse it or a record is invalid."""
-        text, longest = "".join(lines), max(map(len, lines))
-        if ('"' in text or "\r" in text or "\0" in text
-                or longest > csv.field_size_limit()):
+        text, width = "".join(lines), max(map(len, lines))
+        if any(c in text for c in '"\r\0') or width > csv.field_size_limit():
             return False
         numbers: Sequence[int] = range(start + 1, start + len(lines) + 1)
         if "\n" in lines:  # neither reader gives a record for a blank line
@@ -147,15 +145,17 @@ class _Columns:
                                 if line != "\n"], dtype=np.int64)
         if not len(numbers):
             return True  # loadtxt warns on a block with no data
-        # numpy's int64 parser reads some non-ASCII letters as digits, and
-        # more digits than int() may (at least 640): t is then read by int().
-        t_type = "O" if not text.isascii() or longest > 640 else "i8"
+        # numpy reads some non-ASCII letters, and over 640 digits, as an int.
+        t_type = "O" if not text.isascii() or width > 640 else "i8"
         try:
-            rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
-                              dtype=[("s", "O"), ("c", "O"), ("t", t_type),
-                                     ("v", "f8")])
+            with warnings.catch_warnings():
+                # Some numpy releases read t = "3.7" as 3 and only warn.
+                warnings.simplefilter("error", DeprecationWarning)
+                rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
+                                  dtype=[("s", "O"), ("c", "O"), ("t", t_type),
+                                         ("v", "f8")])
             t = rows["t"].astype(np.int64)
-        except (ValueError, OverflowError):
+        except (ValueError, OverflowError, DeprecationWarning):
             return False
         # Copied, so that no view keeps the block's str objects alive.
         return rows.size == len(numbers) and self._extend(
@@ -169,13 +169,11 @@ class _Columns:
             return None
         sid, channel, t_raw, v_raw = np.array(
             [f.strip() for f in fields], dtype=object).reshape(n, 4).T
-        try:
+        with contextlib.suppress(ValueError, OverflowError):  # int(), float()
             t = np.fromiter(map(int, t_raw), np.int64, n)
             value = np.fromiter(map(float, v_raw), np.float64, n)
-        except (ValueError, OverflowError):
-            t = None  # a t or value that int() or float() rejects
-        if t is not None and self._extend(numbers, sid, channel, t, value):
-            return None
+            if self._extend(numbers, sid, channel, t, value):
+                return None
         for i, row in enumerate(zip(sid, channel, t_raw, v_raw)):
             message = _row_error(*row)
             if message:
@@ -187,7 +185,8 @@ class _Columns:
                 channel: np.ndarray, t: np.ndarray, value: np.ndarray) -> bool:
         """Code a block's records from its raw names (object arrays), t and
         value; False, with nothing coded, when a record is invalid. Names
-        are stripped and looked up once per run of equal raw strings."""
+        are stripped and looked up once per run of equal raw strings, which
+        is once per series and channel in a file grouped by them."""
         if not (t.min() >= 0 and t.max() <= MAX_T
                 and np.isfinite(value).all()):
             return False
@@ -273,7 +272,7 @@ def read_data_csv(path: str) -> Dataset:
     at least one row for every channel. Each series' length is max(t) + 1,
     and all series together may need at most MAX_SAMPLES samples.
     """
-    with open_text(path, newline="") as fh:
+    with open_text(path) as fh:
         start, header = next(_records(path, fh), (1, None))
         if header is None:
             raise DataError(f"{path}: empty file, expected header "
@@ -282,15 +281,16 @@ def read_data_csv(path: str) -> Dataset:
             raise DataError(f"{path}:1: bad header {header!r}, expected "
                             f"{','.join(DATA_HEADER)}")
         columns = _Columns(path)
-        while ((lines := fh.readlines(BLOCK_CHARS))
-               and columns.parse(lines, start)):
+        while lines := fh.readlines(BLOCK_CHARS):
+            if not columns.parse(lines, start):
+                # A quoted field may span lines: csv.reader reads to the end.
+                rest = fh if '"' in "".join(lines) else ()
+                for numbers, fields, error in _data_blocks(
+                        path, itertools.chain(lines, rest), start):
+                    message = columns.add(numbers, fields) or error
+                    if message:
+                        columns.fail(message)
             start += len(lines)
-        if lines:  # this block and the rest of the file go to csv.reader
-            for numbers, fields, error in _data_blocks(
-                    path, itertools.chain(lines, fh), start):
-                message = columns.add(numbers, fields) or error
-                if message:
-                    columns.fail(message)
     return columns.dataset()
 
 
@@ -303,7 +303,7 @@ class LabelRecord:
 def read_labels_csv(path: str) -> dict[str, LabelRecord]:
     """Read series_id,label[,group_id] keyed by series id."""
     out: dict[str, LabelRecord] = {}
-    with open_text(path, newline="") as fh:
+    with open_text(path) as fh:
         records = _records(path, fh)
         _, header = next(records, (1, None))
         if header is None:
@@ -379,7 +379,7 @@ def write_features_csv(matrix: FeatureMatrix, path: str) -> None:
 
 
 def read_features_csv(path: str) -> FeatureMatrix:
-    with open_text(path, newline="") as fh:
+    with open_text(path) as fh:
         records = _records(path, fh)
         _, header = next(records, (1, None))
         if not header or header[0] != "series_id":

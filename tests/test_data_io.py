@@ -308,6 +308,45 @@ def test_a_form_only_python_reads_takes_the_fallback(tmp_path, monkeypatch):
     assert read_data_csv(path).series[2].values[10, 0] == 25
 
 
+@pytest.mark.parametrize("row, parsed_after", [
+    ("s2,hr,1_0,25", True), ('"s2",hr,5,25', False)], ids=["1_0", "quote"])
+def test_only_a_quote_hands_the_rest_of_the_file_to_csv_reader(
+        tmp_path, monkeypatch, row, parsed_after):
+    # A block that np.loadtxt refuses goes to csv.reader alone, unless a
+    # quoted field in it may run on into the next block.
+    rows = [f"s{i // 10},hr,{i % 10},{i}" for i in range(40)]
+    rows[25] = row
+    path = _write(tmp_path / "d.csv", "series_id,channel,t,value\n"
+                  + "\n".join(rows) + "\n")
+    monkeypatch.setattr(data_io, "BLOCK_CHARS", 64)
+    parsed = []
+    parse = data_io._Columns.parse
+    monkeypatch.setattr(data_io._Columns, "parse", lambda self, *a:
+                        parsed.append(parse(self, *a)) or parsed[-1])
+    calls = _count_records_calls(monkeypatch)
+    got = _outcome(read_data_csv, path)
+    assert len(calls) == 2 and parsed.count(False) == 1
+    assert parsed[-1] == parsed_after
+    assert got == _outcome(naive_csv.read_data_csv, path)
+
+
+def test_an_int_read_through_a_float_falls_back(tmp_path, monkeypatch):
+    # Some numpy releases read t = "3.7" as 3 with only a DeprecationWarning.
+    loadtxt = np.loadtxt
+
+    def lenient(lines, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is "
+                      "deprecated.", DeprecationWarning)
+        return loadtxt([line.replace(",3.7,", ",3,") for line in lines],
+                       **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", lenient)
+    path = _write(tmp_path / "d.csv",
+                  "series_id,channel,t,value\na,hr,0,1\na,hr,3.7,2\n")
+    with pytest.raises(DataError, match=r"d\.csv:3: t must be an integer"):
+        read_data_csv(path)
+
+
 @pytest.mark.parametrize("text", [
     "series_id,channel,t,value\na,hr,0,1\n\n\n\na,hr,1,2\n\n",
     "series_id,channel,t,value\n\n\n"])
@@ -518,6 +557,17 @@ def test_config_file_parsing(tmp_path):
     ]))
     cfg = read_config_file(path)
     assert cfg == {"K": "5", "W": "4", "variations": "original, rcs"}
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_config_file_line_ends_read_alike(tmp_path, end):
+    text = "# comment\nK = 5\n\nW=4  # trailing\n"
+    path = _write(tmp_path / "c.cfg", text.replace("\n", end))
+    assert read_config_file(path) == read_config_file(
+        _write(tmp_path / "lf.cfg", text))
+    path = _write(tmp_path / "d.cfg", f"K = 5{end}{end}oops{end}")
+    with pytest.raises(DataError, match=r"d\.cfg:3: expected key = value"):
+        read_config_file(path)
 
 
 def test_config_file_rejects_duplicates_and_bad_lines(tmp_path):
