@@ -102,3 +102,33 @@ def random_dataset(rng, n_series=6, n_channels=2, length=40, with_mask=True,
         series.append(TimeSeries(id=f"r{i}", channels=channels, values=vals,
                                  mask=mask, label=label, group_id=group))
     return Dataset(tuple(series))
+
+
+def ragged_dataset(rng, n_series=12, n_channels=1, min_length=24,
+                   max_length=120, missing_rate=0.1, with_groups=False):
+    """Random-walk series of unequal lengths with gaps. rng is a numpy
+    Generator; each series' length is drawn from [min_length, max_length]
+    and its first sample is observed on every channel."""
+    channels = tuple(f"ch{j}" for j in range(n_channels))
+    series = []
+    for i in range(n_series):
+        length = int(rng.integers(min_length, max_length + 1))
+        vals = np.cumsum(rng.normal(size=(length, n_channels)), axis=0)
+        mask = rng.random((length, n_channels)) >= missing_rate
+        mask[0, :] = True
+        series.append(TimeSeries(id=f"q{i}", channels=channels, values=vals,
+                                 mask=mask, group_id=(f"g{i % 4}" if with_groups
+                                                      else None)))
+    return Dataset(tuple(series))
+
+
+def sine_dataset(rng, n_series=40, length=288, noise=0.3):
+    """Sine waves of random frequency and phase plus Gaussian noise, the
+    shape of the scale runs. rng is a numpy Generator."""
+    tgrid = np.arange(length)
+    freq = rng.uniform(0.01, 0.15, size=(n_series, 1))
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=(n_series, 1))
+    X = np.sin(2.0 * np.pi * freq * tgrid + phase)
+    X += rng.normal(0.0, noise, size=(n_series, length))
+    return Dataset(tuple(TimeSeries.univariate(f"w{i:03d}", X[i])
+                         for i in range(n_series)))
