@@ -15,6 +15,9 @@ from .bpe import Corpus, Vocabulary
 # Population variance below this counts as zero.
 VARIANCE_FLOOR = 1e-15
 
+# Columns screened by one Gram product in prune_correlated.
+_GRAM_BLOCK = 64
+
 CENTROID_PREFIX = "centroid."
 
 
@@ -157,26 +160,52 @@ def prune_correlated(values: np.ndarray, threshold: float = 0.95) -> tuple[np.nd
     """Greedy keep-first pruning of highly correlated columns.
 
     Walking columns in canonical order, a column is dropped when its absolute
-    Pearson correlation with any already-kept column exceeds the threshold.
-    Expects zero-variance columns to be removed beforehand.
+    Pearson correlation with any already-kept column exceeds the threshold,
+    so the first column is always kept. Expects zero-variance columns to be
+    removed beforehand.
+
+    The rule is decided by the exact check: the largest of
+    |unit[:, kept].T @ unit[:, j]| over the kept columns, against the
+    threshold, with unit the centered columns divided by their norms. A
+    screen spares most columns that check. Each block of _GRAM_BLOCK columns
+    takes one product, |unit[:, :e].T @ unit[:, b:e]|, and a column's
+    largest screened value over the kept columns decides it when it lies
+    more than tol = 4*n*eps from the threshold; the exact check runs only
+    for the rest. The screen and the check each compute the dot product of
+    the same two unit columns of length n, so each is within about n*eps/2
+    of the exact value (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 3.1), and they differ by less than tol.
     """
     values = np.asarray(values, dtype=np.float64)
     n, f = values.shape
-    centered = values - values.mean(axis=0)
-    norms = np.sqrt((centered * centered).sum(axis=0))
+    unit = values - values.mean(axis=0)
+    norms = np.sqrt((unit * unit).sum(axis=0))
     if np.any(norms == 0.0):
         raise DataError("prune_correlated requires zero-variance columns to be "
                         "removed first")
-    unit = centered / norms
+    unit /= norms
+    tol = 4 * n * np.finfo(np.float64).eps
     kept_idx: list[int] = []
     kept = np.zeros(f, dtype=bool)
-    for j in range(f):
-        if kept_idx:
-            corrs = unit[:, kept_idx].T @ unit[:, j]
-            if np.max(np.abs(corrs)) > threshold:
-                continue
-        kept_idx.append(j)
-        kept[j] = True
+    for b in range(0, f, _GRAM_BLOCK):
+        e = min(b + _GRAM_BLOCK, f)
+        gram = unit[:, :e].T @ unit[:, b:e]
+        np.abs(gram, out=gram)
+        # No column of [b, e) is kept yet, so these are the rows before b.
+        best = gram[kept[:e]].max(axis=0, initial=0.0)
+        for j in range(b, e):
+            if kept_idx:
+                screen = best[j - b]
+                if screen > threshold + tol:
+                    continue
+                if not screen < threshold - tol:
+                    corrs = unit[:, kept_idx].T @ unit[:, j]
+                    if np.max(np.abs(corrs)) > threshold:
+                        continue
+            kept_idx.append(j)
+            kept[j] = True
+            np.maximum(best, gram[j], out=best)
+    del unit
     return values[:, kept], kept
 
 

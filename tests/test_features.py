@@ -5,7 +5,8 @@ import pytest
 import scipy.stats
 
 from naive_bpe import corpus_of
-from pdbpe import DataError
+from naive_prune import naive_prune_correlated
+from pdbpe import DataError, features
 from pdbpe.bpe import fit_bpe
 from pdbpe.core import Variation
 from pdbpe.features import (FeatureDescriptor, FeatureSchema, anova_f_rank,
@@ -140,6 +141,79 @@ def test_prune_correlated_threshold_is_strict():
 def test_prune_correlated_rejects_constant_columns():
     with pytest.raises(DataError):
         prune_correlated(np.ones((4, 2)))
+
+
+def _correlated_case(rng):
+    """A matrix with zero-variance columns removed, in C or Fortran order,
+    whose columns are often duplicated, negated, scaled and shifted,
+    perturbed by 1e-9 or low-rank, and a threshold: drawn from [0.5, 1.0],
+    or 0.95, 1.0 or a pair's computed correlation."""
+    n = int(rng.choice([2, 3, rng.integers(4, 40), rng.integers(40, 301)]))
+    f = int(rng.integers(1, 90))
+    source = rng.integers(0, 3)
+    if source == 0:
+        rank = int(rng.integers(1, 6))
+        values = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, f))
+    elif source == 1:
+        # Length-normalized counts, like the pipeline's columns.
+        values = rng.integers(0, 4, size=(n, f)) / rng.integers(4, 30, (n, 1))
+    else:
+        values = rng.normal(size=(n, f))
+    for j in range(1, f):
+        col = values[:, rng.integers(0, j)]
+        kind = rng.integers(0, 6)
+        if kind == 0:
+            values[:, j] = col
+        elif kind == 1:
+            values[:, j] = -col
+        elif kind == 2:
+            values[:, j] = col * rng.uniform(0.1, 10.0) + rng.normal()
+        elif kind == 3:
+            values[:, j] = col + 1e-9 * rng.normal(size=n)
+    values = drop_zero_variance(values)[0]
+    if rng.random() < 0.5:
+        values = np.ascontiguousarray(values)
+    threshold = float(rng.choice([rng.uniform(0.5, 1.0), 0.95, 1.0]))
+    if values.shape[1] >= 2 and rng.random() < 0.3:
+        # On the knife edge: the exact check's own value for one pair.
+        unit = values - values.mean(axis=0)
+        unit = unit / np.sqrt((unit * unit).sum(axis=0))
+        i, j = sorted(rng.choice(values.shape[1], 2, replace=False))
+        threshold = min(float(abs(unit[:, [i]].T @ unit[:, j])[0]), 1.0)
+    return values, threshold
+
+
+@pytest.mark.parametrize("block", [1, 7, features._GRAM_BLOCK])
+def test_prune_correlated_matches_the_per_column_loop(block, monkeypatch):
+    monkeypatch.setattr(features, "_GRAM_BLOCK", block)
+    rng = np.random.default_rng(21)
+    for _ in range(400):
+        values, threshold = _correlated_case(rng)
+        want, want_kept = naive_prune_correlated(values, threshold)
+        got, kept = prune_correlated(values, threshold)
+        assert kept.tolist() == want_kept.tolist()
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("block", [1, 3, features._GRAM_BLOCK])
+def test_duplicates_at_threshold_one_take_the_exact_check(block,
+                                                          monkeypatch):
+    # A copy's correlation is 1 give or take a few ulps, inside the band
+    # where the screen cannot decide, so the exact check's rounding keeps
+    # some copies and drops others; the screen must not overrule it.
+    monkeypatch.setattr(features, "_GRAM_BLOCK", block)
+    rng = np.random.default_rng(5)
+    outcomes = set()
+    for _ in range(60):
+        n = int(rng.integers(2, 300))
+        x = rng.normal(size=(n, 1))
+        values = np.hstack([x, x, 3.0 * x, -x, x + 1e-12,
+                            rng.normal(size=(n, 2)), 0.5 * x])
+        _, want = naive_prune_correlated(values, 1.0)
+        _, kept = prune_correlated(values, 1.0)
+        assert kept.tolist() == want.tolist()
+        outcomes.add(tuple(want.tolist()))
+    assert len(outcomes) > 1
 
 
 def test_centroid_augment_group_means():
