@@ -221,8 +221,9 @@ class PipelineConfig:
             raise DataError(f"U must be in (0, 1), got {self.U}")
         if not 0.0 < self.correlation_threshold <= 1.0:
             raise DataError("correlation_threshold must be in (0, 1]")
-        if self.iqr_multiplier <= 0.0:
-            raise DataError("iqr_multiplier must be positive")
+        if not 0.0 < self.iqr_multiplier < np.inf:
+            raise DataError("iqr_multiplier must be in (0, inf), got "
+                            f"{self.iqr_multiplier}")
         if not self.variations:
             raise DataError("at least one variation is required")
         # Normalize to canonical enum order, dropping duplicates.

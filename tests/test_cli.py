@@ -185,6 +185,30 @@ def test_outlier_fences_holding_no_value_are_numeric_error(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_non_finite_iqr_multiplier_is_data_error(tmp_path, capsys, source,
+                                                 value):
+    # A bad setting is refused before fitting, not reported as the numeric
+    # error of fences that overflow.
+    data, _ = _write_motif_corpus(tmp_path)
+    given = ["--iqr-multiplier", value]
+    if source == "config":
+        (tmp_path / "c.cfg").write_text(f"iqr_multiplier = {value}\n")
+        given = ["--config", str(tmp_path / "c.cfg")]
+    assert main(["discover", "--data", data, "--k", "4", "--w", "2", *given,
+                 "--model-out", str(tmp_path / "m.json"),
+                 "--features-out", str(tmp_path / "f.csv")]) == 2
+    assert "iqr_multiplier must be in (0, inf)" in capsys.readouterr().err
+
+
+def test_model_with_non_finite_iqr_multiplier_is_data_error(tmp_path):
+    r = _transform_corrupted_model(
+        tmp_path, lambda doc: doc["config"].update(iqr_multiplier=float("inf")))
+    assert r.returncode == 2, r.stderr
+    assert "iqr_multiplier must be in (0, inf)" in r.stderr
+
+
 @pytest.mark.parametrize("period", ["nan", "-5", "0", "1e308"])
 def test_inspect_period_minutes_must_give_finite_positive_durations(
         tmp_path, capsys, period):

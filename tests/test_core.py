@@ -124,6 +124,8 @@ def test_config_bounds():
                 dict(K=4, W=4, correlation_threshold=0.0),
                 dict(K=4, W=4, correlation_threshold=1.5),
                 dict(K=4, W=4, iqr_multiplier=0.0),
+                dict(K=4, W=4, iqr_multiplier=float("nan")),
+                dict(K=4, W=4, iqr_multiplier=float("inf")),
                 dict(K=4, W=4, variations=())):
         with pytest.raises(DataError):
             PipelineConfig(**bad)
