@@ -160,21 +160,19 @@ def prune_correlated(values: np.ndarray, threshold: float = 0.95) -> tuple[np.nd
     """Greedy keep-first pruning of highly correlated columns.
 
     Walking columns in canonical order, a column is dropped when its absolute
-    Pearson correlation with any already-kept column exceeds the threshold,
-    so the first column is always kept. Expects zero-variance columns to be
-    removed beforehand.
+    Pearson correlation with any already-kept column exceeds the threshold;
+    the first is always kept. Expects zero-variance columns to be removed
+    beforehand.
 
-    The rule is decided by the exact check: the largest of
-    |unit[:, kept].T @ unit[:, j]| over the kept columns, against the
-    threshold, with unit the centered columns divided by their norms. A
-    screen spares most columns that check. Each block of _GRAM_BLOCK columns
-    takes one product, |unit[:, :e].T @ unit[:, b:e]|, and a column's
-    largest screened value over the kept columns decides it when it lies
-    more than tol = 4*n*eps from the threshold; the exact check runs only
-    for the rest. The screen and the check each compute the dot product of
-    the same two unit columns of length n, so each is within about n*eps/2
-    of the exact value (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., section 3.1), and they differ by less than tol.
+    The exact check defines the rule: max |unit[:, kept].T @ unit[:, j]| >
+    threshold, with unit the centered columns over their norms. Each block
+    of _GRAM_BLOCK columns is first screened by one product,
+    |unit[:, :e].T @ unit[:, b:e]|: a column whose largest screened value
+    over the kept columns lies more than tol = 4*n*eps from the threshold
+    is decided by it, and only the rest take the exact check. Both compute
+    dot products of the same unit columns of length n, each within about
+    n*eps/2 of the true value (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 3.1), so they differ by less than tol.
     """
     values = np.asarray(values, dtype=np.float64)
     n, f = values.shape
@@ -205,7 +203,7 @@ def prune_correlated(values: np.ndarray, threshold: float = 0.95) -> tuple[np.nd
             kept_idx.append(j)
             kept[j] = True
             np.maximum(best, gram[j], out=best)
-    del unit
+    del unit  # one n x f array fewer while the kept columns are gathered
     return values[:, kept], kept
 
 
