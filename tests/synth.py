@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
 from pdbpe import Dataset, TimeSeries
@@ -50,28 +52,25 @@ def dataset_to_csv(dataset, data_path, labels_path=None):
     """Serialize a dataset to the CSV layout the CLI reads.
 
     Masked samples become absent rows. Labels (and group ids when present)
-    go to a second file if a path is given.
+    go to a second file if a path is given. Fields are quoted only where
+    csv.writer must quote them, such as an id holding a comma.
     """
-    with open(data_path, "w", encoding="utf-8") as fh:
-        fh.write("series_id,channel,t,value\n")
+    with open(data_path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(["series_id", "channel", "t", "value"])
         for ts in dataset:
             for j, ch in enumerate(ts.channels):
                 for t in range(ts.length):
                     if ts.mask[t, j]:
-                        fh.write(f"{ts.id},{ch},{t},"
-                                 f"{float(ts.values[t, j])!r}\n")
+                        out.writerow([ts.id, ch, t,
+                                      repr(float(ts.values[t, j]))])
     if labels_path is not None:
-        with_groups = any(ts.group_id is not None for ts in dataset)
-        with open(labels_path, "w", encoding="utf-8") as fh:
-            fh.write("series_id,label,group_id\n" if with_groups
-                     else "series_id,label\n")
-            for ts in dataset:
-                if ts.label is None:
-                    continue
-                if with_groups:
-                    fh.write(f"{ts.id},{ts.label},{ts.group_id or ''}\n")
-                else:
-                    fh.write(f"{ts.id},{ts.label}\n")
+        width = 3 if any(ts.group_id is not None for ts in dataset) else 2
+        with open(labels_path, "w", encoding="utf-8", newline="") as fh:
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(["series_id", "label", "group_id"][:width])
+            out.writerows([ts.id, ts.label, ts.group_id or ""][:width]
+                          for ts in dataset if ts.label is not None)
 
 
 def random_symbol_corpus(rng, max_series=10, max_len=30, alphabet=6):
