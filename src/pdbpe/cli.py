@@ -18,9 +18,8 @@ import numpy as np
 
 from .core import (Dataset, MultivariateMode, PipelineConfig, Variation,
                    ingest_filter, parse_multivariate_mode, parse_variation)
-from .data_io import (attach_labels, csv_row, read_config_file,
-                      read_data_csv, read_features_csv, read_labels_csv,
-                      write_features_csv)
+from .data_io import (csv_row, read_config_file, read_data_csv,
+                      read_features_csv, read_labels_csv, write_features_csv)
 from .errors import DataError, NumericError, UsageError
 from .evaluate import cross_validate, kfold_split
 from .features import anova_f_rank
@@ -128,10 +127,7 @@ def _read_dataset(args) -> Dataset:
     min_observed = args.min_observed
     if min_observed < 0:
         raise UsageError(f"--min-observed must be >= 0, got {min_observed}")
-    dataset = read_data_csv(args.data)
-    labels_path = getattr(args, "labels", None)
-    if labels_path:
-        dataset = attach_labels(dataset, read_labels_csv(labels_path))
+    dataset = read_data_csv(args.data, args.labels)
     before = len(dataset)
     if min_observed > 0:
         dataset = ingest_filter(dataset, min_observed)

@@ -61,7 +61,7 @@ def require_group_ids(names: Iterable[str], group_ids: Iterable[str | None],
             raise DataError(f"{name} has no group id; {need}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeries:
     """One labeled time series: a (length x channels) value matrix plus an
     observation mask of the same shape.

@@ -2,7 +2,8 @@
 
 Data CSV is long format with header series_id,channel,t,value; a missing
 (series, channel, t) row marks that entry unobserved (mask False, value 0).
-Labels CSV is series_id,label with an optional third group_id column.
+Labels CSV is series_id,label with an optional third group_id column;
+read_data_csv attaches its rows to the data file's series as it builds them.
 Feature CSVs print values with 17 significant digits so they round-trip
 bit-exactly.
 
@@ -224,9 +225,10 @@ class _Columns:
                     f"{list(self.channels)[c[i]]!r} t={int(t[i])}")
         raise DataError(message)
 
-    def dataset(self) -> Dataset:
+    def dataset(self, labels_path: str | None) -> Dataset:
         """The series, each (1 + max t) samples long, as slices of one
-        samples x channels block."""
+        samples x channels block, labelled from labels_path once every data
+        check has passed."""
         ids, channels = list(self.series), tuple(self.channels)
         present = np.zeros((len(ids), len(channels)), dtype=bool)
         last = np.zeros(len(ids), dtype=np.int64)
@@ -258,19 +260,27 @@ class _Columns:
         if np.count_nonzero(mask) != rows:
             self.fail(None)
         self.blocks.clear()
+        labels = read_labels_csv(labels_path) if labels_path else {}
         return Dataset(series=tuple(
             TimeSeries(id=sid, channels=channels, values=values[o:o + n],
-                       mask=mask[o:o + n])
-            for sid, o, n in zip(ids, offsets.tolist(), lengths.tolist())))
+                       mask=mask[o:o + n], group_id=rec and rec.group_id,
+                       label=rec and rec.label)
+            for sid, o, n, rec in zip(ids, offsets.tolist(), lengths.tolist(),
+                                      map(labels.get, ids))))
 
 
-def read_data_csv(path: str) -> Dataset:
+def read_data_csv(path: str, labels_path: str | None = None) -> Dataset:
     """Read a long-format data CSV into a Dataset.
 
     Series appear in first-appearance order; the channel list is the
     first-appearance union over the whole file and every series must carry
     at least one row for every channel. Each series' length is max(t) + 1,
     and all series together may need at most MAX_SAMPLES samples.
+
+    With labels_path, each series carries the label and group id of its row
+    in that labels CSV (read_labels_csv), which is read only after the data
+    has passed all of its checks. Rows for ids the data lacks are ignored;
+    a series without a row keeps None for both.
     """
     with open_text(path) as fh:
         start, header = next(_records(path, fh), (1, None))
@@ -291,7 +301,7 @@ def read_data_csv(path: str) -> Dataset:
                     if message:
                         columns.fail(message)
             start += len(lines)
-    return columns.dataset()
+    return columns.dataset(labels_path)
 
 
 @dataclass(frozen=True)
@@ -330,23 +340,6 @@ def read_labels_csv(path: str) -> dict[str, LabelRecord]:
             group = row[2].strip() if has_group else None
             out[sid] = LabelRecord(label=label, group_id=group or None)
     return out
-
-
-def attach_labels(dataset: Dataset, labels: dict[str, LabelRecord]) -> Dataset:
-    """Return a dataset whose series carry label and group id annotations.
-
-    Series without a label record keep label None (they can still be
-    transformed; evaluation filters on labeled series).
-    """
-    series = []
-    for ts in dataset:
-        rec = labels.get(ts.id)
-        if rec is None:
-            series.append(ts)
-        else:
-            series.append(ts.with_annotations(group_id=rec.group_id,
-                                              label=rec.label))
-    return Dataset(series=tuple(series))
 
 
 def csv_field(text: str) -> str:

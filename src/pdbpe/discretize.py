@@ -9,7 +9,7 @@ import numpy as np
 from .errors import DataError, NumericError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Discretizer:
     """Equal-width binning fitted on pooled training values.
 

@@ -70,7 +70,7 @@ class FeatureSchema:
         return tuple(c.name for c in self.final_columns())
 
 
-@dataclass
+@dataclass(eq=False)
 class FeatureMatrix:
     """Row-per-series feature values with column names."""
 

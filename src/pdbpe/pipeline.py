@@ -35,7 +35,7 @@ from .variations import fit_rcsm_medians, view
 COLLAPSED_CHANNEL = "combined"
 
 
-@dataclass
+@dataclass(eq=False)
 class FittedModel:
     """Everything needed to reproduce a transform: bin edges and fences per
     mined channel, run-length medians, per-(channel, variation) vocabularies,
@@ -188,11 +188,12 @@ def _fit(dataset: Dataset, config: PipelineConfig, centroids: bool,
     n_cols = len(schema.columns)
     # Pruning statistics are undefined for a single row; it keeps everything.
     variance_kept = final_kept = np.ones(n_cols, dtype=bool)
+    values = raw
     if n >= 2:
         surviving, variance_kept = drop_zero_variance(raw)
-        _, corr_kept_rel = prune_correlated(surviving, config.correlation_threshold)
+        values, kept = prune_correlated(surviving, config.correlation_threshold)
         final_kept = np.zeros(n_cols, dtype=bool)
-        final_kept[np.flatnonzero(variance_kept)[corr_kept_rel]] = True
+        final_kept[np.flatnonzero(variance_kept)[kept]] = True
     schema.variance_kept = tuple(bool(b) for b in variance_kept)
     schema.final_kept = tuple(bool(b) for b in final_kept)
 
@@ -202,7 +203,7 @@ def _fit(dataset: Dataset, config: PipelineConfig, centroids: bool,
                         vocabularies=vocabularies, schema=schema,
                         centroids=centroids)
     return model, FeatureMatrix(ids=dataset.ids, names=model.output_names(),
-                                values=_output_values(model, dataset, raw))
+                                values=_output_values(model, dataset, values))
 
 
 def transform_dataset(model: FittedModel, dataset: Dataset) -> FeatureMatrix:
@@ -231,15 +232,15 @@ def _transform(model: FittedModel, dataset: Dataset,
                for key, corpus in _views(symbols, model.config,
                                          model.rcsm_medians)}
     raw = assemble_matrix(len(dataset), encoded, model.schema)
+    values = raw[:, np.asarray(model.schema.final_kept, dtype=bool)]
     return FeatureMatrix(ids=dataset.ids, names=model.output_names(),
-                         values=_output_values(model, dataset, raw))
+                         values=_output_values(model, dataset, values))
 
 
 def _output_values(model: FittedModel, dataset: Dataset,
-                   raw: np.ndarray) -> np.ndarray:
-    """The columns kept by pruning and, with centroids, each row's group
-    mean over the rows of dataset appended."""
-    values = raw[:, np.asarray(model.schema.final_kept, dtype=bool)]
+                   values: np.ndarray) -> np.ndarray:
+    """The pruned values and, with centroids, each row's group mean over
+    the rows of dataset appended."""
     if not model.centroids:
         return values
     return centroid_augment(values, [ts.group_id for ts in dataset])

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdbpe.cli import main
-from pdbpe import load_model
+from pdbpe import TimeSeries, data_io, load_model
 from pdbpe.data_io import read_features_csv
 
 
@@ -53,6 +53,49 @@ def test_discover_transform_round_trip(tmp_path, capsys):
                  "--features-out", str(feats2)])
     assert code == 0
     assert feats_path.read_bytes() == feats2.read_bytes()
+
+
+def test_evaluate_builds_each_series_once(tmp_path, monkeypatch):
+    # The reader gives each series its label and group id as it builds it,
+    # so no labelled copy is made.
+    data, labels = _write_motif_corpus(tmp_path)
+    built = []
+    post_init = TimeSeries.__post_init__
+
+    def counted(ts):
+        built.append(ts.id)
+        post_init(ts)
+
+    monkeypatch.setattr(TimeSeries, "__post_init__", counted)
+    assert main(["evaluate", "--data", data, "--labels", labels, "--k", "4",
+                 "--w", "3", "--folds", "2",
+                 "--report-out", str(tmp_path / "report.txt")]) == 0
+    assert sorted(built) == sorted(f"s{i}" for i in range(16))
+
+
+@pytest.mark.parametrize("command", ["discover", "evaluate"])
+@pytest.mark.parametrize("rows,max_samples,message", [
+    ("a,hr,0,1\na,spo2,0,2\nb,hr,0,3\n", None,
+     "d.csv: series 'b' has no rows for channel 'spo2'"),
+    ("a,hr,0,1\na,hr,1,2\na,hr,0,3\n", None,
+     "d.csv:4: duplicate entry for series 'a' channel 'hr' t=0"),
+    ("a,hr,0,1\na,hr,9,2\n", 8,
+     "the series need 10 samples"),
+], ids=["missing-channel", "duplicate", "max-samples"])
+def test_data_error_is_reported_before_a_labels_error(
+        tmp_path, capsys, monkeypatch, command, rows, max_samples, message):
+    if max_samples is not None:
+        monkeypatch.setattr(data_io, "MAX_SAMPLES", max_samples)
+    data, labels = tmp_path / "d.csv", tmp_path / "l.csv"
+    data.write_text("series_id,channel,t,value\n" + rows)
+    labels.write_text("series_id,label\na,x,extra\n")
+    out = (["--model-out", str(tmp_path / "m.json"), "--features-out",
+            str(tmp_path / "f.csv")] if command == "discover"
+           else ["--report-out", str(tmp_path / "r.txt")])
+    assert main([command, "--data", str(data), "--labels", str(labels),
+                 "--k", "4", "--w", "2", *out]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "l.csv" not in err
 
 
 def test_transform_reads_a_model_with_a_byte_order_mark(tmp_path):

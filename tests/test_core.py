@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from pdbpe import DataError, Dataset, PipelineConfig, TimeSeries
+from pdbpe import (DataError, Dataset, PipelineConfig, TimeSeries,
+                   fit_pipeline)
 from pdbpe.core import (ALL_VARIATIONS, MultivariateMode, Variation,
                         ingest_filter, parse_multivariate_mode,
                         parse_variation)
+from pdbpe.discretize import Discretizer
+from pdbpe.features import FeatureMatrix
 
 
 def test_univariate_reshapes_to_column():
@@ -68,6 +71,32 @@ def test_observed_timesteps_counts_any_channel():
     ts = TimeSeries(id="a", channels=("x", "y"), values=np.ones((3, 2)),
                     mask=mask)
     assert ts.observed_timesteps() == 2
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TimeSeries.univariate("a", [1.0, 2.0], label="L"),
+    lambda: TimeSeries.univariate("a", [1.0]),
+    lambda: Discretizer(K=2, lower_fence=0.0, upper_fence=1.0,
+                        edges=[0.0, 0.5, 1.0]),
+    lambda: FeatureMatrix(ids=("a", "b"), names=("x",), values=[[1.0], [2.0]]),
+    lambda: fit_pipeline(Dataset(tuple(
+        TimeSeries.univariate(f"s{i}", np.sin(np.arange(24.0) * (i + 1)))
+        for i in range(4))), PipelineConfig(K=3, W=2))[0],
+], ids=["series", "one-sample-series", "discretizer", "feature-matrix",
+        "fitted-model"])
+def test_records_holding_arrays_compare_and_hash_by_identity(make):
+    # Field-wise == would compare arrays, whose truth value is ambiguous.
+    a, b = make(), make()
+    assert a == a and a != b
+    assert a in [b, a] and b not in [a]
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
+def test_dataset_compares_its_series_by_identity():
+    ts = TimeSeries.univariate("a", [1.0, 2.0])
+    assert Dataset((ts,)) == Dataset((ts,))
+    assert Dataset((ts,)) != Dataset((TimeSeries.univariate("a", [1.0, 2.0]),))
+    assert hash(Dataset((ts,))) == hash(Dataset((ts,)))
 
 
 def test_with_annotations_overrides_only_given_fields():

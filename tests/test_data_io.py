@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import naive_csv
 from pdbpe import DataError, PipelineConfig, fit_pipeline
 from pdbpe import data_io
-from pdbpe.data_io import (attach_labels, read_config_file, read_data_csv,
+from pdbpe.data_io import (read_config_file, read_data_csv,
                            read_features_csv, read_labels_csv,
                            write_features_csv)
 from pdbpe.features import FeatureMatrix
@@ -520,7 +520,7 @@ def test_labels_round_trip_and_attach(tmp_path):
         "c,hr,0,3.0",
         "",
     ]))
-    ds = attach_labels(read_data_csv(data), labels)
+    ds = read_data_csv(data, path)
     assert [ts.label for ts in ds] == ["sick", "healthy", None]
     assert ds.series[0].group_id == "p1"
 

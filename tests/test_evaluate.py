@@ -12,8 +12,8 @@ from pdbpe import (DataError, Dataset, NumericError, PipelineConfig,
                    TimeSeries, UsageError, cross_validate)
 from pdbpe import pipeline
 from pdbpe.core import MultivariateMode, Variation
-from pdbpe.evaluate import (accuracy, auc_roc, kfold_split, ridge_fit_predict,
-                            rmse, score_split)
+from pdbpe.evaluate import (CvPlan, accuracy, auc_roc, kfold_split,
+                            ridge_fit_predict, rmse, score_split)
 from synth import motif_dataset, random_dataset
 
 
@@ -349,6 +349,43 @@ def test_cross_validate_rejects_before_any_fit(monkeypatch, case, error,
     with pytest.raises(error, match=re.escape(message)) as info:
         cross_validate(ds, PipelineConfig(K=4, W=4), plan, **case)
     assert info.type is error  # a UsageError is also a DataError
+
+
+@pytest.mark.parametrize("case,message", [
+    ("unlabelled", "series 's003' has no label"),
+    ("empty-fold", "fold 2 leaves an empty train or test split"),
+    ("stray-id", "plan and dataset disagree on series ids: ['extra']")])
+def test_cross_validate_rejects_labels_and_plans_before_any_fit(
+        monkeypatch, case, message):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a series was preprocessed or a fold fitted")
+
+    monkeypatch.setattr("pdbpe.evaluate._streams", no_fit)
+    monkeypatch.setattr("pdbpe.evaluate._fit", no_fit)
+    ds = _labeled_dataset(seed=22)
+    plan = kfold_split(ds.ids, 4, seed=0)
+    if case == "unlabelled":
+        ds = Dataset(tuple(replace(ts, label=None) if i == 3 else ts
+                           for i, ts in enumerate(ds)))
+    elif case == "empty-fold":
+        # A plan built by hand: no series is dealt to fold 2.
+        plan = CvPlan(k=3, seed=0, assignment={sid: i % 2 for i, sid
+                                               in enumerate(ds.ids)})
+    else:
+        plan = kfold_split([*ds.ids, "extra"], 4, seed=0)
+    with pytest.raises(DataError, match=re.escape(message)) as info:
+        cross_validate(ds, PipelineConfig(K=4, W=4), plan,
+                       task="classification")
+    assert info.type is DataError
+
+
+def test_cross_validate_auc_needs_exactly_two_classes():
+    ds = Dataset(tuple(ts.with_annotations(label="ABC"[i % 3])
+                       for i, ts in enumerate(_labeled_dataset(seed=22))))
+    plan = kfold_split(ds.ids, 2, seed=0)
+    with pytest.raises(DataError, match="^auc needs exactly 2 classes$"):
+        cross_validate(ds, PipelineConfig(K=4, W=4), plan,
+                       task="classification", metric="auc")
 
 
 @pytest.mark.parametrize("mode,per_series", [

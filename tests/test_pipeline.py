@@ -47,7 +47,11 @@ def test_transform_reproduces_training_matrix_exactly():
     model, matrix = fit_pipeline(ds, CFG)
     again = transform_dataset(model, ds)
     assert again.names == matrix.names
-    assert np.array_equal(again.values, matrix.values)
+    assert again.values.tobytes() == matrix.values.tobytes()
+    # k-NN distance bits depend on the layout, so it must not change: fit
+    # and transform both gather the kept columns into Fortran order.
+    assert matrix.values.flags.f_contiguous and again.values.flags.f_contiguous
+    assert not matrix.values.flags.c_contiguous
 
 
 def test_fit_takes_the_training_encoding_from_the_miner(monkeypatch):
