@@ -109,8 +109,6 @@ class Corpus:
     series: np.ndarray
     n_series: int
 
-    __iter__ = None
-
     def __post_init__(self) -> None:
         self.tokens = np.asarray(self.tokens, dtype=np.int64)
         self.series = np.asarray(self.series, dtype=np.int64)

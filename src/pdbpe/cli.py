@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -44,18 +45,12 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # Config assembly
 
-def _parse_int(raw: str, key: str) -> int:
+def _parse_number(raw: str, key: str, kind: type = float) -> float:
     try:
-        return int(raw)
+        return kind(raw)
     except ValueError:
-        raise DataError(f"config {key}: expected an integer, got {raw!r}") from None
-
-
-def _parse_float(raw: str, key: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise DataError(f"config {key}: expected a number, got {raw!r}") from None
+        noun = "an integer" if kind is int else "a number"
+        raise DataError(f"config {key}: expected {noun}, got {raw!r}") from None
 
 
 def _parse_variations(raw: str, key: str) -> tuple[Variation, ...]:
@@ -67,12 +62,12 @@ def _parse_variations(raw: str, key: str) -> tuple[Variation, ...]:
 
 # Config key -> (flag attribute, parser of its text form).
 _CONFIG_KEYS = {
-    "K": ("k", _parse_int),
-    "W": ("w", _parse_int),
-    "P": ("p", _parse_float),
-    "U": ("u", _parse_float),
-    "correlation_threshold": ("corr_threshold", _parse_float),
-    "iqr_multiplier": ("iqr_multiplier", _parse_float),
+    "K": ("k", partial(_parse_number, kind=int)),
+    "W": ("w", partial(_parse_number, kind=int)),
+    "P": ("p", _parse_number),
+    "U": ("u", _parse_number),
+    "correlation_threshold": ("corr_threshold", _parse_number),
+    "iqr_multiplier": ("iqr_multiplier", _parse_number),
     "variations": ("variations", _parse_variations),
     "multivariate_mode": ("multivariate_mode",
                           lambda raw, key: parse_multivariate_mode(raw)),
@@ -255,7 +250,6 @@ def cmd_inspect(args) -> int:
         return 0
 
     by_name = {c.name: c for c in final_cols}
-    ranked: list[tuple[str, float | None]]
     if args.labels:
         matrix = read_features_csv(args.features)
         labels = read_labels_csv(args.labels)
@@ -266,19 +260,14 @@ def cmd_inspect(args) -> int:
         values = matrix.values[np.ix_(rows, keep_cols)]
         names = [matrix.names[j] for j in keep_cols]
         y = [labels[matrix.ids[i]].label for i in rows]
-        ranking = anova_f_rank(values, y, names=names)
-        ranked = [(name, score) for name, score in ranking]
+        ranked = anova_f_rank(values, y, names=names)
     else:
         ranked = [(c.name, None) for c in final_cols if c.is_pattern]
 
     top = ranked[:args.top]
     print(f"top {len(top)} features" + (" by ANOVA F:" if args.labels else ":"))
-    shown = []
-    for name, score in top:
-        desc = by_name.get(name)
-        if desc is None:
-            continue
-        shown.append(desc)
+    shown = [by_name[name] for name, _ in top]
+    for desc, (name, score) in zip(shown, top):
         f_text = f"  F={score:.6g}" if score is not None else ""
         steps = len(desc.decoded)
         print(f"  {name}: [{_decoded_display(model, desc)}]  "
@@ -289,7 +278,7 @@ def cmd_inspect(args) -> int:
         dataset = read_data_csv(args.data)
         spans = pattern_spans(model, dataset, shown)
         for desc in shown:
-            per_series = spans.get(desc.name, {})
+            per_series = spans[desc.name]
             total = sum(len(v) for v in per_series.values())
             print(f"  spans {desc.name}: {total} occurrences in "
                   f"{len(per_series)} series")
@@ -297,7 +286,7 @@ def cmd_inspect(args) -> int:
             with open(args.spans_out, "w", encoding="utf-8", newline="") as fh:
                 fh.write("feature,series_id,start,end\n")
                 for desc in shown:
-                    for sid, sp in spans.get(desc.name, {}).items():
+                    for sid, sp in spans[desc.name].items():
                         for lo, hi in sp:
                             fh.write(csv_row([desc.name, sid, str(lo),
                                               str(hi)]))

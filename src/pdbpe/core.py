@@ -25,15 +25,13 @@ class Variation(enum.Enum):
 
 ALL_VARIATIONS: tuple[Variation, ...] = tuple(Variation)
 
-_VARIATION_BY_NAME = {v.value: v for v in Variation}
-
 
 def parse_variation(name: str) -> Variation:
     try:
-        return _VARIATION_BY_NAME[name.strip().lower()]
-    except KeyError:
+        return Variation(name.strip().lower())
+    except ValueError:
         raise DataError(f"unknown variation {name!r}; expected one of "
-                        + ", ".join(sorted(_VARIATION_BY_NAME))) from None
+                        + ", ".join(sorted(v.value for v in Variation))) from None
 
 
 class MultivariateMode(enum.Enum):
@@ -45,11 +43,10 @@ class MultivariateMode(enum.Enum):
 
 
 def parse_multivariate_mode(name: str) -> MultivariateMode:
-    key = name.strip().lower()
-    for mode in MultivariateMode:
-        if mode.value == key:
-            return mode
-    raise DataError(f"unknown multivariate mode {name!r}")
+    try:
+        return MultivariateMode(name.strip().lower())
+    except ValueError:
+        raise DataError(f"unknown multivariate mode {name!r}") from None
 
 
 def require_group_ids(names: Iterable[str], group_ids: Iterable[str | None],
@@ -119,10 +116,6 @@ class TimeSeries:
     @property
     def length(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def num_channels(self) -> int:
-        return self.values.shape[1]
 
     def observed_timesteps(self) -> int:
         """Timesteps with at least one observed channel."""

@@ -7,7 +7,7 @@ import pytest
 from naive_bpe import (corpus_of, count_all, naive_fit, replace_one,
                        sequences_of)
 from pdbpe import DataError
-from pdbpe.bpe import MergeRule, Vocabulary, encode_corpus, fit_bpe
+from pdbpe.bpe import Corpus, MergeRule, Vocabulary, encode_corpus, fit_bpe
 
 
 def encode(symbols, vocab):
@@ -139,6 +139,26 @@ def test_out_of_range_symbols_rejected():
     vocab, _ = fit_bpe(corpus_of([[0, 1, 0, 1]]), base_size=2)
     with pytest.raises(DataError, match="symbol 2 outside"):
         encode_corpus(corpus_of([[0, 1], [2]]), vocab)
+
+
+@pytest.mark.parametrize("series, n_series", [
+    ([0, 1, 0], 2), ([0, 0, 2], 2), ([1, 1, 1], 1), ([-1, 0, 0], 2),
+    ([0, 0], 2)],
+    ids=["decreasing", "at-n-series", "above-n-series", "negative",
+         "one-per-token"])
+def test_corpus_refuses_a_bad_series_index(series, n_series):
+    with pytest.raises(DataError, match=r"non-decreasing in \[0, "
+                       + str(n_series) + r"\)"):
+        Corpus([3, 4, 5], series, n_series)
+
+
+def test_corpus_is_not_iterable():
+    corpus = Corpus([3, 4, 5], [0, 0, 2], 3)
+    assert corpus.lengths().tolist() == [2, 0, 1]
+    with pytest.raises(TypeError, match="'Corpus' object is not iterable"):
+        iter(corpus)
+    with pytest.raises(TypeError, match="'Corpus' object is not iterable"):
+        list(corpus)
 
 
 @pytest.mark.parametrize("rule,message", [

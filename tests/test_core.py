@@ -18,7 +18,7 @@ def test_univariate_reshapes_to_column():
     assert ts.mask.shape == (3, 1)
     assert ts.channels == ("value",)
     assert ts.length == 3
-    assert ts.num_channels == 1
+    assert ts.values.shape[1] == 1
 
 
 def test_masked_entries_are_zero_filled():

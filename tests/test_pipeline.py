@@ -296,6 +296,21 @@ def test_pattern_spans_do_not_overlap_within_a_series():
     assert spans == {"x": {"a": [(0, 2), (2, 4)], "b": [(2, 4), (4, 6)]}}
 
 
+def test_pattern_spans_of_a_view_shorter_than_the_pattern_are_empty():
+    # The whole view of one single-sample series holds one token, fewer
+    # than either pattern's symbols.
+    ds = Dataset((TimeSeries.univariate("a", [0, 0, 0, 0, 0, 1, 1, 1]),
+                  TimeSeries.univariate("b", [1, 1, 0, 0, 0, 0, 1, 0])))
+    model, _ = fit_pipeline(ds, PipelineConfig(K=2, W=1))
+    descs = [FeatureDescriptor("value", Variation.ORIGINAL, 99, (0, 0), "x",
+                               True),
+             FeatureDescriptor("value", Variation.RCS, 99, (1, 0, 1), "y",
+                               True)]
+    short = Dataset((TimeSeries.univariate("c", [1.0]),))
+    assert pattern_spans(model, short, descs) == {"x": {}, "y": {}}
+    assert pattern_spans(model, ds, descs)["x"] != {}
+
+
 def test_two_fits_give_identical_output():
     ds = _small_dataset(seed=13, n=12)
     _, first = fit_pipeline(ds, CFG)
