@@ -2,6 +2,7 @@
 
 import random
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -12,8 +13,8 @@ from pdbpe import (DataError, Dataset, NumericError, PipelineConfig,
                    TimeSeries, UsageError, cross_validate)
 from pdbpe import pipeline
 from pdbpe.core import MultivariateMode, Variation
-from pdbpe.evaluate import (CvPlan, accuracy, auc_roc, kfold_split,
-                            ridge_fit_predict, rmse, score_split)
+from pdbpe.evaluate import (CvPlan, _neighbours, accuracy, auc_roc,
+                            kfold_split, ridge_fit_predict, rmse, score_split)
 from synth import motif_dataset, random_dataset
 
 
@@ -46,6 +47,19 @@ def test_kfold_group_aware_keeps_groups_whole():
     group_folds = list(fold_of_group.values())
     counts = [group_folds.count(f) for f in range(4)]
     assert max(counts) - min(counts) <= 1
+
+
+def test_kfold_assignment_is_pinned():
+    # Ids and group names out of sorted and first-appearance order; groups of
+    # one to three series.
+    ids = ["s7", "s2", "s9", "s0", "s5", "s1", "s8", "s3", "s6", "s4"]
+    groups = ["g2", "g0", "g2", "g1", "g0", "g3", "g1", "g2", "g4", "g3"]
+    assert kfold_split(ids, 3, seed=11).assignment == {
+        "s7": 2, "s2": 0, "s9": 0, "s0": 0, "s5": 2, "s1": 1, "s8": 1,
+        "s3": 0, "s6": 2, "s4": 1}
+    assert kfold_split(ids, 3, seed=11, group_ids=groups).assignment == {
+        "s7": 1, "s2": 2, "s9": 1, "s0": 0, "s5": 2, "s1": 1, "s8": 0,
+        "s3": 1, "s6": 0, "s4": 1}
 
 
 def test_kfold_validation_errors():
@@ -147,6 +161,56 @@ def test_knn_matches_brute_force_oracle():
         assert score_split(X, labels, Q, y_test, "classification", "auc",
                            knn_k=k, positive_label=positive) == \
             auc_roc(y_bin, [share for _, share in want])
+
+
+def _column_loop_neighbours(train_X, query, k):
+    acc = np.zeros(len(train_X))
+    for j in range(train_X.shape[1]):
+        acc += (train_X[:, j] - query[j]) ** 2
+    d = np.sqrt(acc)
+    index = np.argsort(d, kind="stable")[:k]
+    return index, d[index]
+
+
+@pytest.mark.parametrize("layout", ["F"])
+def test_neighbours_sum_each_query_column_by_column(layout):
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        n, f = int(rng.integers(2, 40)), int(rng.integers(8, 40))
+        scale = 10.0 ** rng.integers(-3, 4, size=(n, f))
+        train_X = np.asfortranarray(rng.normal(size=(n, f)) * scale)
+        train_X[rng.integers(0, n, size=n // 4)] = train_X[0]
+        test_X = np.vstack([rng.normal(size=(3, f)) * scale[0], train_X[:2]])
+        k = int(rng.integers(1, n + 1))
+        index, dist = _neighbours(np.asarray(train_X, order=layout), test_X, k)
+        for row, query in enumerate(test_X):
+            want_index, want_dist = _column_loop_neighbours(train_X, query, k)
+            assert index[row].tolist() == want_index.tolist()
+            assert dist[row].tobytes() == want_dist.tobytes()
+
+
+def test_neighbours_of_one_training_row_sum_pairwise():
+    rng = np.random.default_rng(24)
+    for _ in range(50):
+        f = int(rng.integers(8, 200))
+        row = rng.normal(size=f) * 10.0 ** rng.integers(-3, 4, size=f)
+        query = rng.normal(size=f)
+        _, dist = _neighbours(row[None, :], query[None, :], 1)
+        assert dist[0, 0].tobytes() == \
+            np.sqrt(np.add.reduce((row - query) ** 2)).tobytes()
+
+
+def test_neighbours_copies_no_fortran_input():
+    train_X = np.asfortranarray(np.random.default_rng(25).normal(size=(4000, 16)))
+    tracemalloc.start()
+    try:
+        _neighbours(train_X, train_X[:1], 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One query holds its differences and their squares; a copy of
+    # train_X would be a third block of the same size.
+    assert peak < 2.5 * train_X.nbytes
 
 
 def test_knn_vote_tie_breaks_on_mean_distance_then_label():
