@@ -17,8 +17,8 @@ from functools import partial
 
 import numpy as np
 
-from .core import (Dataset, MultivariateMode, PipelineConfig, Variation,
-                   ingest_filter, parse_multivariate_mode, parse_variation)
+from .core import (Dataset, PipelineConfig, Variation, ingest_filter,
+                   parse_multivariate_mode, parse_variation)
 from .data_io import (csv_row, read_config_file, read_data_csv,
                       read_features_csv, read_labels_csv, write_features_csv)
 from .errors import DataError, NumericError, UsageError
@@ -99,7 +99,10 @@ def _build_config(args) -> PipelineConfig:
     return PipelineConfig(**fields)
 
 
-def _add_config_flags(sub) -> None:
+def _add_fit_flags(sub) -> None:
+    """The flags of the commands that fit pipelines, discover and evaluate:
+    the data, the config file and its keys, and the fit options."""
+    sub.add_argument("--data", required=True, help="long-format data CSV")
     sub.add_argument("--config", help="flat key=value config file")
     sub.add_argument("--k", type=int, default=None, help="alphabet size K (2..100)")
     sub.add_argument("--w", type=int, default=None, help="PAA window W (1..15)")
@@ -114,8 +117,11 @@ def _add_config_flags(sub) -> None:
     sub.add_argument("--variations", default=None,
                      help="comma list: original,rcs,rcsm,autoregressive")
     sub.add_argument("--multivariate-mode", default=None,
-                     choices=[m.value for m in MultivariateMode],
                      help="per_channel or whiten_collapse")
+    sub.add_argument("--min-observed", type=int, default=0,
+                     help="drop series with fewer observed timesteps")
+    sub.add_argument("--centroids", action="store_true",
+                     help="append group-centroid features (needs group ids)")
 
 
 def _read_dataset(args) -> Dataset:
@@ -395,14 +401,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("discover", help="fit a model on a dataset")
-    p.add_argument("--data", required=True, help="long-format data CSV")
+    _add_fit_flags(p)
     p.add_argument("--labels", default=None,
                    help="series_id,label[,group_id] CSV (group ids enable --centroids)")
-    _add_config_flags(p)
-    p.add_argument("--min-observed", type=int, default=0,
-                   help="drop series with fewer observed timesteps")
-    p.add_argument("--centroids", action="store_true",
-                   help="append group-centroid features (needs group ids)")
     p.add_argument("--model-out", required=True)
     p.add_argument("--features-out", required=True)
     p.set_defaults(func=cmd_discover)
@@ -429,9 +430,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("evaluate", help="cross-validated scoring")
-    p.add_argument("--data", required=True)
+    _add_fit_flags(p)
     p.add_argument("--labels", required=True)
-    _add_config_flags(p)
     p.add_argument("--k-grid", default=None, help="comma list of K values")
     p.add_argument("--w-grid", default=None, help="comma list of W values")
     p.add_argument("--task", choices=["auto", "regression", "classification"],
@@ -445,8 +445,6 @@ def build_parser() -> _Parser:
     p.add_argument("--knn-k", type=int, default=5)
     p.add_argument("--ridge-lambda", type=float, default=1.0)
     p.add_argument("--positive-label", default=None, help="positive class for auc")
-    p.add_argument("--min-observed", type=int, default=0)
-    p.add_argument("--centroids", action="store_true")
     p.add_argument("--report-out", required=True)
     p.set_defaults(func=cmd_evaluate)
     return parser

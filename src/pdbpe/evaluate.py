@@ -57,20 +57,14 @@ def kfold_split(ids: Sequence[str], k: int, seed: int = 0,
         require_group_ids((f"series {sid!r}" for sid in ids), group_ids,
                           "group-aware folds require one per series")
     # Without groups each series is a unit of its own.
-    members: dict[str, list[str]] = {}
-    for sid, key in zip(ids, group_ids if group_aware else ids):
-        members.setdefault(str(key), []).append(sid)
-    if k > len(members):
-        units = "groups" if group_aware else "series"
-        raise DataError(f"cannot deal {len(members)} {units} into {k} folds")
-    shuffled = list(members)
-    random.Random(seed).shuffle(shuffled)
-    assignment: dict[str, int] = {}
-    for i, unit in enumerate(shuffled):
-        for sid in members[unit]:
-            assignment[sid] = i % k
-    # Keep id order canonical in the mapping.
-    assignment = {sid: assignment[sid] for sid in ids}
+    keys = [str(key) for key in (group_ids if group_aware else ids)]
+    units = list(dict.fromkeys(keys))
+    if k > len(units):
+        noun = "groups" if group_aware else "series"
+        raise DataError(f"cannot deal {len(units)} {noun} into {k} folds")
+    random.Random(seed).shuffle(units)
+    fold = {unit: i % k for i, unit in enumerate(units)}
+    assignment = {sid: fold[key] for sid, key in zip(ids, keys)}
     return CvPlan(k=k, seed=seed, assignment=assignment, group_aware=group_aware)
 
 
@@ -110,8 +104,10 @@ def ridge_fit_predict(train_X, y_train, test_X, lam: float) -> np.ndarray:
 def _neighbours(train_X, test_X, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices and distances of the k nearest training rows (Euclidean;
     distance ties keep training row order) of every test row, as two
-    (n_test x k) arrays in neighbour order."""
-    train_X = np.asarray(train_X, dtype=np.float64)
+    (n_test x k) arrays in neighbour order. A distance adds its squared
+    differences column by column, left to right, in either layout of a
+    train_X of two or more rows (a C-ordered one is copied once)."""
+    train_X = np.asarray(train_X, dtype=np.float64, order="F")
     if not 1 <= k <= len(train_X):
         raise DataError(f"k-NN: knn_k={k} outside [1, {len(train_X)}]")
     index = np.empty((len(test_X), k), dtype=np.intp)

@@ -101,12 +101,28 @@ def test_config_values_match_the_same_flags(tmp_path, capsys):
                       "multivariate_mode = WHITEN_COLLAPSE\n")
     assert _discover(tmp_path, data, "--config", cfg) == 0
     from_file = (tmp_path / "m.json").read_bytes()
-    assert _discover(tmp_path, data, "--k", "4", "--w", "2", "--p", "0.2",
-                     "--u", "0.001", "--corr-threshold", "0.9",
-                     "--iqr-multiplier", "2", "--variations", "rcs,original",
-                     "--multivariate-mode", "whiten_collapse") == 0
-    assert (tmp_path / "m.json").read_bytes() == from_file
+    # Names match without regard to case, in a flag as in the file.
+    for mode in ("whiten_collapse", "WHITEN_COLLAPSE"):
+        assert _discover(tmp_path, data, "--k", "4", "--w", "2", "--p", "0.2",
+                         "--u", "0.001", "--corr-threshold", "0.9",
+                         "--iqr-multiplier", "2", "--variations",
+                         "rcs,original", "--multivariate-mode", mode) == 0
+        assert (tmp_path / "m.json").read_bytes() == from_file
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--variations", "original,bogus"],
+     "unknown variation 'bogus'; expected one of autoregressive, original, "
+     "rcs, rcsm"),
+    (["--multivariate-mode", "Nope"], "unknown multivariate mode 'Nope'"),
+])
+def test_bad_name_flag_is_data_error_as_in_a_config_file(tmp_path, capsys,
+                                                         flags, message):
+    data = _write_data(tmp_path / "data.csv", IDS)
+    assert _discover(tmp_path, data, "--k", "4", "--w", "2", *flags) == 2
+    assert capsys.readouterr().err == f"pdbpe: data error: {message}\n"
+    assert not (tmp_path / "m.json").exists()
 
 
 # ---------------------------------------------------------------------------

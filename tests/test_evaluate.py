@@ -172,7 +172,7 @@ def _column_loop_neighbours(train_X, query, k):
     return index, d[index]
 
 
-@pytest.mark.parametrize("layout", ["F"])
+@pytest.mark.parametrize("layout", ["F", "C"])
 def test_neighbours_sum_each_query_column_by_column(layout):
     rng = np.random.default_rng(23)
     for _ in range(100):
