@@ -11,15 +11,19 @@ A ``Corpus`` holds every series of one view end to end: one int64 token
 array, a non-decreasing series index beside it, and the series count (empty
 series included). Fit and encode merge it in place as a linked token array:
 tokens keep their indices, next/previous links skip the removed right
-halves and end at every series boundary, so no pair crosses one. Each
-symbol keeps a list of the indices where it was written, so the
-occurrences of (left, right) are found from left's list alone, in work
-proportional to left's occurrences. A self-pair (a, a) counts only at even
-offsets inside its run of a, the non-overlapping left-to-right convention
-in array form. The miner keeps an upper bound on every pair count and
-counts a pair exactly only when its bound is the largest, so choosing a
-merge costs O(V) for a vocabulary of V symbols, not a recount of the
-corpus; fit_bpe explains why the bounds stay valid.
+halves and end at every series boundary, so no pair crosses one. The
+occurrences of (left, right) are looked up in one list that holds only
+places where the pair can be: for two base symbols, the pair's slice of an
+index of the input's adjacent pairs sorted by pair code; for a merged left,
+the indices where left was written; for a base left and a merged right,
+the left neighbours of the indices where right was written. This is the
+pair-keyed bookkeeping of Re-Pair (Larsson and Moffat, Proc. IEEE 88(11),
+2000). A self-pair (a, a) counts only at even offsets inside its run of a,
+the non-overlapping left-to-right convention in array form. The miner
+keeps an upper bound on every pair count and counts a pair exactly only
+when its bound is the largest, so choosing a merge costs O(V) for a
+vocabulary of V symbols, not a recount of the corpus; fit_bpe explains
+why the bounds stay valid.
 """
 
 from __future__ import annotations
@@ -64,8 +68,8 @@ class Vocabulary:
 
     def __post_init__(self) -> None:
         # Rule i defines base_size + i from symbols defined before it, so
-        # its operands' position lists exist when encode applies it, and
-        # applying the rules in learned order reproduces mining.
+        # a merged operand's position list exists when encode applies it,
+        # and applying the rules in learned order reproduces mining.
         for i, rule in enumerate(self.rules):
             if rule.new_symbol != self.base_size + i:
                 raise DataError(f"rule {i} defines symbol {rule.new_symbol}, "
@@ -138,9 +142,16 @@ class _Links:
     it, plus one trailing -1 that a -1 link reads. nxt and prv link each
     live token to its live neighbours in the same series, -1 at a series
     end, so no pair crosses a boundary; prv's trailing slot takes the
-    writes through a -1 link and is never read. where[s] lists, ascending,
-    the indices where symbol s was written; an index whose token has
-    changed since is dropped the next time s's list is read.
+    writes through a -1 link and is never read.
+
+    Three kinds of list hold every occurrence of a pair, since a merge
+    makes only adjacencies with its new symbol and a symbol is written
+    only at its own rule's hits. pairs[starts[c]:starts[c + 1]] are the
+    input's adjacent base pairs of code c = left * base + right, ascending;
+    a pair across a series boundary takes code base * base, so
+    starts[base * base] counts the real ones. where[s - base] lists,
+    ascending, the indices where the merged symbol s was written; an entry
+    whose token has changed since is dropped when the list is next read.
     """
 
     def __init__(self, corpus: Corpus, base_size: int) -> None:
@@ -148,6 +159,7 @@ class _Links:
         self.t = np.append(tok, -1)
         self.series = sid
         self.n_series = corpus.n_series
+        self.base = base_size
         # The last token of each series but the final one.
         ends = np.flatnonzero(sid[1:] != sid[:-1])
         self.nxt = np.arange(1, tok.size + 1)
@@ -155,11 +167,25 @@ class _Links:
         self.nxt[-1:] = -1
         self.prv = np.arange(-1, tok.size)
         self.prv[ends + 1] = -1
+        n_codes = base_size * base_size
+        codes = tok[:-1] * base_size + tok[1:]
+        codes[ends] = n_codes
+        self.starts = np.zeros(n_codes + 2, dtype=np.int64)
+        np.cumsum(np.bincount(codes, minlength=n_codes + 1),
+                  out=self.starts[1:])
         # A stable sort of 16-bit keys is a radix sort, in linear time.
-        keys = tok.astype(np.uint16) if base_size <= 1 << 16 else tok
-        counts = np.bincount(tok, minlength=base_size)
-        self.where = np.split(np.argsort(keys, kind="stable"),
-                              np.cumsum(counts)[:-1])
+        if n_codes < 1 << 16:
+            codes = codes.astype(np.uint16)
+        self.pairs = np.argsort(codes, kind="stable")
+        self.where: list[np.ndarray] = []
+
+    def live(self, symbol: int) -> np.ndarray:
+        """The current positions of merged symbol, ascending; stale
+        entries are dropped from its list for good."""
+        i = symbol - self.base
+        pos = self.where[i]
+        pos = self.where[i] = pos[self.t[pos] == symbol]
+        return pos
 
     def corpus(self) -> Corpus:
         live = self.t[:-1] >= 0
@@ -168,11 +194,21 @@ class _Links:
 
 def _hits(links: _Links, left: int, right: int) -> np.ndarray:
     """Start indices of the non-overlapping left-to-right occurrences of
-    (left, right), ascending. Reads only left's position list."""
-    t, nxt = links.t, links.nxt
-    pos = links.where[left]
-    pos = links.where[left] = pos[t[pos] == left]
-    hits = pos[t[nxt[pos]] == right]
+    (left, right), ascending. A merged left reads its own position list; a
+    base left before a merged right reads the left neighbours of right's
+    list; two base symbols read their slice of the pair index."""
+    t, nxt, base = links.t, links.nxt, links.base
+    if left >= base:
+        pos = links.live(left)
+        hits = pos[t[nxt[pos]] == right]
+    elif right >= base:
+        pos = links.prv[links.live(right)]
+        hits = pos[t[pos] == left]
+    else:
+        code = left * base + right
+        pos = links.pairs[links.starts[code]:links.starts[code + 1]]
+        # A base token still in place keeps its input right neighbour.
+        hits = pos[(t[pos] == left) & (t[pos + 1] == right)]
     if left == right and hits.size > 1:
         # A run of L equal symbols holds L-1 starts, each linked to the
         # next; keep those at even offsets from the run's first.
@@ -184,9 +220,10 @@ def _hits(links: _Links, left: int, right: int) -> np.ndarray:
     return hits
 
 
-def _apply(links: _Links, hits: np.ndarray, new: int) -> None:
+def _apply(links: _Links, hits: np.ndarray, new: int) -> np.ndarray:
     """Merge the pair starting at each hit into the symbol new, whose
-    position list is hits; the right halves die."""
+    position list is hits; the right halves die. Returns each hit's new
+    right neighbour, -1 at a series end."""
     half = links.nxt[hits]
     after = links.nxt[half]
     links.t[hits] = new
@@ -194,6 +231,7 @@ def _apply(links: _Links, hits: np.ndarray, new: int) -> None:
     links.nxt[hits] = after
     links.prv[after] = hits
     links.where.append(hits)
+    return after
 
 
 def fit_bpe(corpus: Corpus, base_size: int, P: float = 0.20,
@@ -213,27 +251,24 @@ def fit_bpe(corpus: Corpus, base_size: int, P: float = 0.20,
     from its neighbours. A merge never lengthens a run of one symbol and
     never makes an adjacency without the new symbol, so the counts of old
     pairs only fall and every bound stays valid. Choosing a pair costs
-    O(V) and each exact count work in proportion to its left symbol's
-    occurrences. The int32 table doubles its side when the vocabulary
+    O(V), and each exact count reads the one list _hits takes for the
+    pair. The int32 table doubles its side when the vocabulary
     outgrows it. An empty corpus yields an empty vocabulary. N is
     corpus.n_series.
     """
     _check_alphabet(corpus.tokens, base_size, "corpus symbol")
-    tok = corpus.tokens
-    same = corpus.series[1:] == corpus.series[:-1]
-    T = int(np.count_nonzero(same))
+    links = _Links(corpus, base_size)
+    t, prv = links.t, links.prv
+    n_codes = base_size * base_size
+    T = int(links.starts[n_codes])
     threshold = max(corpus.n_series * P, T * U)
 
-    # Adjacency counts bound the self-pair counts, which are smaller. They
-    # are taken before the links exist, so their temporaries and the links
-    # do not add up in peak memory.
+    # Adjacency counts, the pair index's slice sizes, bound the self-pair
+    # counts, which are smaller.
     cap = 2 * max(base_size, 1)
     bound = np.zeros((cap, cap), dtype=np.int32)
-    bound[:base_size] = np.bincount(
-        (tok[:-1] * cap + tok[1:])[same],
-        minlength=base_size * cap).reshape(base_size, cap)
-    links = _Links(corpus, base_size)
-    t, nxt, prv = links.t, links.nxt, links.prv
+    bound[:base_size, :base_size] = np.diff(
+        links.starts[:n_codes + 1]).reshape(base_size, base_size)
     row_bound = bound.max(axis=1)
     rules: list[MergeRule] = []
     while True:
@@ -250,31 +285,32 @@ def fit_bpe(corpus: Corpus, base_size: int, P: float = 0.20,
             bound[left, right] = hits.size
             continue
 
-        # Read the neighbours before relinking: a right half that is the
-        # next hit's left neighbour is one adjacency, counted as (right, y).
-        half = nxt[hits]
-        x, y = t[prv[hits]], t[nxt[half]]
-        x[1:][nxt[half[:-1]] == hits[1:]] = -1
+        # Each hit's neighbours: x read before relinking, y after it. Where
+        # a hit's right neighbour is the next hit, y reads V and the one
+        # adjacency (right, left) lost between them is the next hit's x.
+        V = base_size + len(rules)
+        x = t[prv[hits]]
+        after = _apply(links, hits, V)
+        y = t[after]
         # An int32 operand, the table's dtype, keeps ufunc.at off numpy's
         # generic per-element loop; the cost stays proportional to the hits.
         np.subtract.at(bound, (x[(x >= 0) & (x != left)], left), np.int32(1))
-        np.subtract.at(bound, (right, y[(y >= 0) & (y != right)]), np.int32(1))
+        np.subtract.at(bound, (right, y[(y >= 0) & (y < V) & (y != right)]),
+                       np.int32(1))
         bound[left, right] = 0
-        V = base_size + len(rules)
         holders = links.series[hits]
         support = 1 + int(np.count_nonzero(holders[1:] != holders[:-1]))
         rules.append(MergeRule(new_symbol=V, left=left, right=right,
                                train_frequency=int(hits.size),
                                train_series_support=support))
-        _apply(links, hits, V)
 
         if V == cap:
             bound = np.pad(bound, (0, cap))
             row_bound = np.pad(row_bound, (0, cap))
             cap *= 2
-        # Every adjacency with the new symbol counts once; for (V, V) that
-        # bounds the count of its runs.
-        x, y = t[prv[hits]], t[nxt[hits]]
+        # Every adjacency with the new symbol counts once, (V, V) as a y;
+        # for (V, V) that bounds the count of its runs.
+        x[1:][after[:-1] == hits[1:]] = -1
         bound[:, V] = np.bincount(x[x >= 0], minlength=cap)
         bound[V] = np.bincount(y[y >= 0], minlength=cap)
         np.maximum(row_bound, bound[:, V], out=row_bound)
@@ -290,10 +326,11 @@ def encode_corpus(corpus: Corpus, vocab: Vocabulary) -> Corpus:
     """Apply the vocabulary's merge rules to a base-alphabet corpus.
 
     Each rule, in learned order, merges the non-overlapping occurrences
-    that _hits finds from its left symbol's position list, so a rule reads
-    that symbol's occurrences, not the whole corpus. Later merges never
-    recreate an earlier rule's pair. Input symbols outside the base
-    alphabet are a hard error. Applied to a training corpus, this
+    that _hits finds in one list, not the whole corpus: its slice of the
+    pair index when both symbols are base symbols, else the merged left's
+    position list, else the left neighbours of the merged right's. Later
+    merges never recreate an earlier rule's pair. Input symbols outside
+    the base alphabet are a hard error. Applied to a training corpus, this
     reproduces its end-of-training form exactly.
     """
     _check_alphabet(corpus.tokens, vocab.base_size, "symbol")

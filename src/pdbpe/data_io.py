@@ -372,6 +372,8 @@ def write_features_csv(matrix: FeatureMatrix, path: str) -> None:
 
 
 def read_features_csv(path: str) -> FeatureMatrix:
+    """Read a feature CSV as write_features_csv writes it. A value that is
+    not a finite number is a DataError naming its line."""
     with open_text(path) as fh:
         records = _records(path, fh)
         _, header = next(records, (1, None))
@@ -388,9 +390,15 @@ def read_features_csv(path: str) -> FeatureMatrix:
                                 f"got {len(row)}")
             ids.append(row[0])
             try:
-                rows.append([float(v) for v in row[1:]])
+                values = [float(v) for v in row[1:]]
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: bad value: {exc}") from None
+            if not all(map(math.isfinite, values)):
+                raw = next(v for v, x in zip(row[1:], values)
+                           if not math.isfinite(x))
+                raise DataError(f"{path}:{lineno}: value must be finite, "
+                                f"got {raw!r}")
+            rows.append(values)
     values = np.array(rows, dtype=np.float64) if rows else np.zeros((0, len(names)))
     return FeatureMatrix(ids=tuple(ids), names=names, values=values)
 

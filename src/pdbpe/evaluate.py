@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +22,8 @@ import numpy as np
 from .core import Dataset, PipelineConfig, require_group_ids
 from .errors import DataError, NumericError, UsageError
 from .model_io import fingerprint_model
-from .pipeline import _fit, _require_group_ids, _streams, _transform
+from .pipeline import (FittedModel, _fit, _require_group_ids, _streams,
+                       _transform)
 
 
 @dataclass(frozen=True)
@@ -166,6 +167,9 @@ def auc_roc(y_true, scores) -> float:
 
 @dataclass
 class FoldResult:
+    """One outer fold's score. model is the model the fold fitted; its
+    fingerprint is computed only when model_fingerprint is read."""
+
     fold: int
     n_train: int
     n_test: int
@@ -175,7 +179,11 @@ class FoldResult:
     n_features: int
     n_patterns_identified: int
     n_patterns_emitted: int
-    model_fingerprint: str
+    model: FittedModel = field(repr=False, compare=False)
+
+    @property
+    def model_fingerprint(self) -> str:
+        return fingerprint_model(self.model)
 
 
 @dataclass
@@ -280,8 +288,9 @@ def cross_validate(dataset: Dataset, config: PipelineConfig, plan: CvPlan,
     without a group id. Only then is each series normalized once, in
     dataset order, so a series that cannot be normalized is the first
     NumericError, and PAA runs once per W of the grid. The fitted state per
-    fold depends only on that fold's training rows; fingerprints of the
-    fitted models are recorded so tests can verify the separation.
+    fold depends only on that fold's training rows. Each FoldResult keeps
+    its fold's model, and its model_fingerprint hashes that model when read,
+    so tests can verify the separation and no fold is hashed unasked.
 
     k_grid and w_grid default to config's K and W. When they hold more than
     one (K, W) point, each fold is fitted with the point of best mean score
@@ -372,5 +381,5 @@ def cross_validate(dataset: Dataset, config: PipelineConfig, plan: CvPlan,
             fold=fold, n_train=len(train), n_test=len(test), metric=metric,
             value=value, config=fold_config, n_features=n_features,
             n_patterns_identified=identified, n_patterns_emitted=emitted,
-            model_fingerprint=fingerprint_model(model)))
+            model=model))
     return CvResult(metric=metric, folds=folds)

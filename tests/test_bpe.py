@@ -1,6 +1,7 @@
 """Pair counting and merge mining, checked against the naive recount oracle."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -223,14 +224,31 @@ def test_encode_rejects_non_base_symbols():
         encode([0, 2], vocab)
 
 
+def _rule_kind(rule, base_size):
+    """Which occurrence list _hits reads for the rule, and the self-pair
+    of a merged symbol, whose even-offset rule reads its own list."""
+    if rule.left < base_size and rule.right < base_size:
+        return "base with base"
+    if rule.left == rule.right:
+        return "merged self-pair"
+    return "merged left" if rule.left >= base_size else "merged right"
+
+
 def test_miner_matches_naive_oracle_on_random_corpora():
+    # Runs of one symbol make self-pairs of base and merged symbols; a
+    # threshold of 0 mines until no pair repeats.
     rng = random.Random(777)
+    kinds = Counter()
     for trial in range(250):
         alphabet = rng.randint(2, 6)
-        corpus = [[rng.randrange(alphabet) for _ in range(rng.randint(0, 30))]
-                  for _ in range(rng.randint(1, 10))]
-        P = rng.choice([0.1, 0.2, 0.5])
-        U = rng.choice([0.001, 0.05, 0.2])
+        corpus = []
+        for _ in range(rng.randint(1, 10)):
+            length, seq = rng.randint(0, 30), []
+            while len(seq) < length:
+                seq += [rng.randrange(alphabet)] * rng.choice([1, 1, 1, 2, 4, 8])
+            corpus.append(seq[:length])
+        P = rng.choice([0.0, 0.1, 0.2, 0.5])
+        U = rng.choice([0.0, 0.001, 0.05, 0.2])
         vocab, merged = fit_bpe(corpus_of(corpus),
                                 base_size=alphabet, P=P, U=U)
         want_rules, want_seqs = naive_fit(corpus, alphabet, P=P, U=U)
@@ -240,6 +258,9 @@ def test_miner_matches_naive_oracle_on_random_corpora():
         encoded = encode_corpus(corpus_of(corpus), vocab)
         assert sequences_of(encoded) == want_seqs, f"trial {trial}"
         assert sequences_of(merged) == want_seqs, f"trial {trial}"
+        kinds.update(_rule_kind(r, alphabet) for r in vocab.rules)
+    assert set(kinds) == {"base with base", "merged left", "merged right",
+                          "merged self-pair"}, kinds
 
 
 def _assert_matches_oracle(corpus, base_size, P, U):

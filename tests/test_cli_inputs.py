@@ -282,6 +282,13 @@ def _edited_features(tmp_path, fitted, edit):
     return _write_text(tmp_path / "features.csv", "".join(edit(lines)))
 
 
+def _set_field(line, i, text):
+    """line with its field i replaced by text."""
+    fields = line.split(",")
+    fields[i] = text
+    return ",".join(fields)
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda lines: ["id" + lines[0][len("series_id"):]] + lines[1:],
      "{path}: not a feature CSV (missing series_id header)"),
@@ -292,7 +299,15 @@ def _edited_features(tmp_path, fitted, edit):
                                 + ",".join(lines[1].split(",")[2:])]
      + lines[2:],
      "{path}:2: bad value: could not convert string to float: 'abc'"),
-], ids=["header", "empty", "field-count", "value"])
+    (lambda lines: lines[:1] + [_set_field(lines[1], 1, "nan"),
+                                _set_field(lines[2], 2, "inf")] + lines[3:],
+     "{path}:2: value must be finite, got 'nan'"),
+    (lambda lines: lines[:2] + [_set_field(lines[2], 3, "-Infinity")]
+     + lines[3:],
+     "{path}:3: value must be finite, got '-Infinity'"),
+    (lambda lines: lines[:3] + [_set_field(lines[3], 1, "1e999")] + lines[4:],
+     "{path}:4: value must be finite, got '1e999'"),
+], ids=["header", "empty", "field-count", "value", "nan", "inf", "overflow"])
 def test_bad_feature_csv_is_data_error(tmp_path, capsys, fitted, edit,
                                        message):
     path = _edited_features(tmp_path, fitted, edit)

@@ -11,10 +11,12 @@ import pytest
 
 from pdbpe import (DataError, Dataset, NumericError, PipelineConfig,
                    TimeSeries, UsageError, cross_validate)
+import pdbpe.evaluate
 from pdbpe import pipeline
 from pdbpe.core import MultivariateMode, Variation
 from pdbpe.evaluate import (CvPlan, _neighbours, accuracy, auc_roc,
                             kfold_split, ridge_fit_predict, rmse, score_split)
+from pdbpe.model_io import fingerprint_model
 from synth import motif_dataset, random_dataset
 
 
@@ -302,6 +304,24 @@ def test_cross_validate_classification_reports_per_fold():
     for f in result.folds:
         assert f.n_train + f.n_test == len(ds)
         assert f.n_patterns_emitted <= f.n_patterns_identified
+
+
+def test_fold_fingerprints_are_computed_on_request(monkeypatch):
+    # cross_validate hashes no fold model; each FoldResult keeps its
+    # model, out of its repr and equality, and hashes it when asked.
+    def refuse(model):
+        raise AssertionError("a fold model was fingerprinted unasked")
+
+    ds = _labeled_dataset(seed=19)
+    plan = kfold_split(ds.ids, 4, seed=2)
+    monkeypatch.setattr(pdbpe.evaluate, "fingerprint_model", refuse)
+    result = cross_validate(ds, PipelineConfig(K=4, W=4), plan,
+                            task="classification")
+    monkeypatch.undo()
+    for f in result.folds:
+        assert f.model_fingerprint == fingerprint_model(f.model)
+        assert "model" not in repr(f)
+        assert f == replace(f, model=result.folds[0].model)
 
 
 def test_cross_validate_regression_with_numeric_labels():

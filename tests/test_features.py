@@ -120,8 +120,11 @@ def test_prune_correlated_keep_first_and_absolute_value():
 
 
 def test_prune_correlated_threshold_is_strict():
-    # Build two columns with exact correlation 0.95: at threshold 0.95
-    # (strictly greater comparison) both must be kept.
+    # Two columns with correlation 0.95 up to rounding. How the exact check
+    # rounds depends on the BLAS kernel, so the threshold is the value it
+    # computes for the pair, with unit built as prune_correlated builds it:
+    # at that value both columns are kept (the comparison is strictly
+    # greater), and one step below it b is dropped.
     rng = np.random.default_rng(12)
     a = rng.normal(size=2000)
     e = rng.normal(size=2000)
@@ -132,10 +135,14 @@ def test_prune_correlated_threshold_is_strict():
     rho = 0.95
     b = rho * a + np.sqrt(1 - rho * rho) * e
     cols = np.column_stack([a, b])
-    corr = np.corrcoef(cols.T)[0, 1]
-    assert abs(corr - 0.95) < 1e-12
-    _, kept = prune_correlated(cols, threshold=0.95)
+    unit = cols - cols.mean(axis=0)
+    unit /= np.sqrt((unit * unit).sum(axis=0))
+    value = float(np.max(np.abs(unit[:, [0]].T @ unit[:, 1])))
+    assert abs(value - 0.95) < 1e-12
+    _, kept = prune_correlated(cols, threshold=value)
     assert kept.tolist() == [True, True]
+    _, kept = prune_correlated(cols, threshold=np.nextafter(value, 0.0))
+    assert kept.tolist() == [True, False]
 
 
 def test_prune_correlated_rejects_constant_columns():
