@@ -245,7 +245,8 @@ def test_miner_matches_naive_oracle_on_random_corpora():
         for _ in range(rng.randint(1, 10)):
             length, seq = rng.randint(0, 30), []
             while len(seq) < length:
-                seq += [rng.randrange(alphabet)] * rng.choice([1, 1, 1, 2, 4, 8])
+                run = rng.choice([1, 1, 1, 2, 4, 8])
+                seq += [rng.randrange(alphabet)] * run
             corpus.append(seq[:length])
         P = rng.choice([0.0, 0.1, 0.2, 0.5])
         U = rng.choice([0.0, 0.001, 0.05, 0.2])

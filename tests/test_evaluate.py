@@ -11,7 +11,6 @@ import pytest
 
 from pdbpe import (DataError, Dataset, NumericError, PipelineConfig,
                    TimeSeries, UsageError, cross_validate)
-import pdbpe.evaluate
 from pdbpe import pipeline
 from pdbpe.core import MultivariateMode, Variation
 from pdbpe.evaluate import (CvPlan, _neighbours, accuracy, auc_roc,
@@ -314,7 +313,7 @@ def test_fold_fingerprints_are_computed_on_request(monkeypatch):
 
     ds = _labeled_dataset(seed=19)
     plan = kfold_split(ds.ids, 4, seed=2)
-    monkeypatch.setattr(pdbpe.evaluate, "fingerprint_model", refuse)
+    monkeypatch.setattr("pdbpe.evaluate.fingerprint_model", refuse)
     result = cross_validate(ds, PipelineConfig(K=4, W=4), plan,
                             task="classification")
     monkeypatch.undo()
