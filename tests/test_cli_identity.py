@@ -65,6 +65,15 @@ def _fallback_block(offset):
                     {13: 'q"13'})
 
 
+def _line_break_id(offset):
+    # The last series' id holds a line break, so each of its records spans
+    # two lines, and csv.reader reads every block that holds one.
+    ds = ragged_dataset(np.random.default_rng(46 + offset), n_series=14,
+                        max_length=64)
+    return _renamed(_relabelled(ds, lambda i: "y" if i % 3 == 0 else "x"),
+                    {13: "q\n13"})
+
+
 def _partial_labels(offset):
     # Every fourth series has no label row, and one id is not ASCII.
     ds = motif_dataset(n_series=20, length=48, motif_len=8, noise=0.5,
@@ -90,6 +99,8 @@ _CASES = {
                    ["--folds", "2", "--knn-k", "3"], False, None),
     "fallback-block": (_fallback_block, ["--k", "5", "--w", "2"],
                        ["--folds", "2", "--knn-k", "3"], False, 2**10),
+    "line-break-id": (_line_break_id, ["--k", "5", "--w", "2"],
+                      ["--folds", "2", "--knn-k", "3"], False, 2**10),
     "partial-labels": (_partial_labels, ["--k", "5", "--w", "3"],
                        ["--folds", "2", "--knn-k", "3", "--metric", "auc"],
                        False, None),
@@ -111,6 +122,12 @@ _PINNED = {
         "0e2188d0a3822227a509fdf015fe3d2d0b8fc7af2351b12445029b627b77475d",
         "8d84f3af4bf0b1628feaa3d988e0206508f7f77cba86d99542a47e3d24886f76",
         "6ee9d726a5b0ab330c4f91f9205445f7157d7d6ec42560bdd8a8207587c0137a",
+    ),
+    'line-break-id': (
+        "115097052459827243cc89647522f9e9f5f3b73a096f93c57815b066466c59ab",
+        "5026cb0392da0061125b0e3a460ac0bd86a02213ba936fc0fb3c8a1212f3c006",
+        "6ad8394798e4fee6e3befe64982203eaede0c6e6a2008cbd7c776be81dedca29",
+        "c9c2b4c5448c2bf12678538396d0f43eb8520f35e0548d69c5bcd0616697aaa1",
     ),
     'partial-labels': (
         "823694f921b35764faab3a127428803ace77ba5d5c4b4ed4da56a41cfb566189",
