@@ -10,14 +10,14 @@ bit-exactly.
 A data CSV is read in blocks of whole lines, about BLOCK_CHARS characters
 each, and every block becomes coded columns (series code, channel code, t,
 value) without a list or dict per row. One np.loadtxt call (numpy's C
-tokenizer) parses a block with no '"', "\r" or NUL and no line longer than
-csv.field_size_limit(), where csv.reader finds the same fields. It reads
-value as float() does, and t as int() does in a block of ASCII lines of at
-most 640 characters; in any other block int() reads t. A block that breaks
-these rules (every block of a CRLF file does), that loadtxt cannot parse
-(such as t = "1_0") or that holds an invalid record goes through csv.reader,
-which reports the first bad record. As a quoted field may span lines,
-csv.reader reads the rest of the file from the first block with a '"'.
+tokenizer, quoting as csv.reader does) parses a block of LF, CRLF or CR
+lines that holds one record per line, no NUL and no line longer than
+csv.field_size_limit(). It reads value as float() does, and t as int()
+does in a block of ASCII lines of at most 640 characters; in any other
+block int() reads t. A block that loadtxt cannot parse so (such as t =
+"1_0", or a quoted line end) or that holds an invalid record goes through
+csv.reader, which reports the first bad record and reads past the block
+only to finish a record left open at its end.
 
 Bad rows are found by whole-column checks and then reported as the first
 failing row in file order. Memory follows the number of rows and samples,
@@ -75,33 +75,6 @@ def _records(path: str, lines: Iterable[str],
                         f"{exc}") from None
 
 
-def _data_blocks(path: str, lines: Iterable[str],
-                 start: int) -> Iterator[tuple[np.ndarray, list[str], str | None]]:
-    """(line numbers, fields, error) of each block of data records that
-    csv.reader reads from lines, which follow line start: 4 fields per
-    record, blank records dropped. A non-None error is the message for the
-    record right after the block; no block follows it."""
-    numbers: list[int] = []
-    fields: list[str] = []
-    error = None
-    try:
-        for lineno, row in _records(path, lines, start):
-            if not row:
-                continue
-            if len(row) != 4:
-                error = f"{path}:{lineno}: expected 4 fields, got {len(row)}"
-                break
-            numbers.append(lineno)
-            fields += row
-            # About as many rows as a block of 64-character lines.
-            if 64 * len(numbers) >= BLOCK_CHARS:
-                yield np.array(numbers, dtype=np.int64), fields, None
-                numbers, fields = [], []
-    except DataError as exc:
-        error = str(exc)
-    yield np.array(numbers, dtype=np.int64), fields, error
-
-
 def _row_error(sid: str, channel: str, t_raw: str, v_raw: str) -> str | None:
     """Why a data record with these stripped fields is invalid, or None."""
     if not sid or not channel:
@@ -138,12 +111,15 @@ class _Columns:
         np.loadtxt call; False, with nothing coded, when the block needs
         csv.reader, loadtxt cannot parse it or a record is invalid."""
         text, width = "".join(lines), max(map(len, lines))
-        if any(c in text for c in '"\r\0') or width > csv.field_size_limit():
+        # Python 3.10's csv.reader refuses a NUL, which numpy reads.
+        if "\0" in text or width > csv.field_size_limit():
             return False
+        # Neither reader gives a record for a blank line.
+        blank = ("\n", "\r\n", "\r") if "\r" in text else ("\n",)
         numbers: Sequence[int] = range(start + 1, start + len(lines) + 1)
-        if "\n" in lines:  # neither reader gives a record for a blank line
+        if any(map(lines.__contains__, blank)):
             numbers = np.array([k for k, line in zip(numbers, lines)
-                                if line != "\n"], dtype=np.int64)
+                                if line not in blank], dtype=np.int64)
         if not len(numbers):
             return True  # loadtxt warns on a block with no data
         # numpy reads some non-ASCII letters, and over 640 digits, as an int.
@@ -152,15 +128,45 @@ class _Columns:
             with warnings.catch_warnings():
                 # Some numpy releases read t = "3.7" as 3 and only warn.
                 warnings.simplefilter("error", DeprecationWarning)
-                rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
+                # numpy closes a quote left open at the end of its input; a
+                # last line that such a quote swallows cannot parse.
+                rows = np.loadtxt([*lines, "_,_,0,0\n"], delimiter=",",
+                                  quotechar='"', comments=None, ndmin=1,
                                   dtype=[("s", "O"), ("c", "O"), ("t", t_type),
-                                         ("v", "f8")])
+                                         ("v", "f8")])[:-1]
             t = rows["t"].astype(np.int64)
         except (ValueError, OverflowError, DeprecationWarning):
             return False
+        # A record that spans lines leaves fewer rows than non-blank lines.
         # Copied, so that no view keeps the block's str objects alive.
         return rows.size == len(numbers) and self._extend(
             numbers, rows["s"], rows["c"], t, rows["v"].copy())
+
+    def rescue(self, lines: list[str], fh: Iterable[str], start: int) -> int:
+        """Code the records csv.reader reads from lines, which follow line
+        start, and from fh only to finish a record left open at their end;
+        the number of the last line read. Raise the first bad record."""
+        numbers: list[int] = []
+        fields: list[str] = []
+        error = None
+        try:
+            for lineno, row in _records(self.path, itertools.chain(lines, fh),
+                                        start):
+                if len(row) not in (0, 4):  # a blank line gives []
+                    error = (f"{self.path}:{lineno}: expected 4 fields, "
+                             f"got {len(row)}")
+                    break
+                if row:
+                    numbers.append(lineno)
+                    fields += row
+                if lineno >= start + len(lines):
+                    break
+        except DataError as exc:
+            error = str(exc)
+        message = self.add(np.array(numbers, dtype=np.int64), fields) or error
+        if message:
+            self.fail(message)
+        return lineno
 
     def add(self, numbers: Sequence[int], fields: list[str]) -> str | None:
         """Code the records csv.reader gave for a block. At its first bad
@@ -292,15 +298,8 @@ def read_data_csv(path: str, labels_path: str | None = None) -> Dataset:
                             f"{','.join(DATA_HEADER)}")
         columns = _Columns(path)
         while lines := fh.readlines(BLOCK_CHARS):
-            if not columns.parse(lines, start):
-                # A quoted field may span lines: csv.reader reads to the end.
-                rest = fh if '"' in "".join(lines) else ()
-                for numbers, fields, error in _data_blocks(
-                        path, itertools.chain(lines, rest), start):
-                    message = columns.add(numbers, fields) or error
-                    if message:
-                        columns.fail(message)
-            start += len(lines)
+            start = (start + len(lines) if columns.parse(lines, start)
+                     else columns.rescue(lines, fh, start))
     return columns.dataset(labels_path)
 
 

@@ -57,8 +57,8 @@ def _quoted_ids(offset):
 
 
 def _fallback_block(offset):
-    # The quoted id is the last series', so the blocks before it take
-    # np.loadtxt and only the last ones take csv.reader.
+    # The last series' id holds a quote. np.loadtxt reads its quoted field
+    # as csv.reader does, so every block takes np.loadtxt.
     ds = ragged_dataset(np.random.default_rng(44 + offset), n_series=14,
                         max_length=64)
     return _renamed(_relabelled(ds, lambda i: "y" if i % 3 == 0 else "x"),

@@ -185,6 +185,11 @@ def _random_data_csv(rnd):
                 continue  # a missing channel
             for t in rnd.sample(range(30), rnd.randint(1, 12)):
                 rows.append([sid, ch, str(t), repr(rnd.gauss(0, 3))])
+    # A line end in a value is quoted, spans lines, and float() reads it.
+    broken = rnd.choice([0.0, 0.0, 0.0, 0.05])
+    for row in rows:
+        if rnd.random() < broken:
+            row[3] = rnd.choice(["{}\n", "\r\n{}", "{}\r"]).format(row[3])
     if rnd.random() < 0.3:
         rnd.shuffle(rows)
     for i in range(len(rows)):
@@ -252,8 +257,8 @@ def test_read_data_matches_naive_reader(tmp_path, monkeypatch):
 
 
 def test_first_quote_after_the_first_block(tmp_path, monkeypatch):
-    # np.loadtxt parses the early blocks; csv.reader takes over at the
-    # block with the quote, and later line numbers stay right.
+    # np.loadtxt parses the block with the quote as it does the others, and
+    # csv.reader, which names the bad last row, numbers it right.
     rows = [f"s{i // 10},hr,{i % 10},{i}" for i in range(60)]
     rows[40] = '"s4",hr,0,40'
     path = _write(tmp_path / "d.csv", "series_id,channel,t,value\n"
@@ -279,20 +284,27 @@ def _count_records_calls(monkeypatch, limit=None):
     return calls
 
 
-def test_plain_blocks_never_reach_csv_reader(tmp_path, monkeypatch):
-    rows = [f"s{i // 10},hr,{i % 10},{i / 7!r}\n" for i in range(60)]
-    rows[30:30] = ["\n", "\n"]
-    path = _write(tmp_path / "d.csv", "series_id,channel,t,value\n"
-                  + "".join(rows))
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"],
+                         ids=["LF", "CRLF", "CR"])
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+def test_plain_blocks_never_reach_csv_reader(tmp_path, monkeypatch, quoted,
+                                             end):
+    sid = '"s{}"' if quoted else "s{}"
+    rows = [f"{sid.format(i // 10)},hr,{i % 10},{i / 7!r}{end}"
+            for i in range(60)]
+    rows[30:30] = [end, end]
+    path = tmp_path / "d.csv"
+    path.write_bytes(("series_id,channel,t,value" + end + "".join(rows))
+                     .encode("utf-8"))
     monkeypatch.setattr(data_io, "BLOCK_CHARS", 64)
     blocks = []
     parse = data_io._Columns.parse
     monkeypatch.setattr(data_io._Columns, "parse",
                         lambda self, *a: blocks.append(a) or parse(self, *a))
     _count_records_calls(monkeypatch, limit=1)  # the header only
-    got = _outcome(read_data_csv, path)
+    got = _outcome(read_data_csv, str(path))
     assert len(blocks) >= 10
-    assert got == _outcome(naive_csv.read_data_csv, path)
+    assert got == _outcome(naive_csv.read_data_csv, str(path))
 
 
 def test_a_form_only_python_reads_takes_the_fallback(tmp_path, monkeypatch):
@@ -308,12 +320,12 @@ def test_a_form_only_python_reads_takes_the_fallback(tmp_path, monkeypatch):
     assert read_data_csv(path).series[2].values[10, 0] == 25
 
 
-@pytest.mark.parametrize("row, parsed_after", [
-    ("s2,hr,1_0,25", True), ('"s2",hr,5,25', False)], ids=["1_0", "quote"])
-def test_only_a_quote_hands_the_rest_of_the_file_to_csv_reader(
-        tmp_path, monkeypatch, row, parsed_after):
-    # A block that np.loadtxt refuses goes to csv.reader alone, unless a
-    # quoted field in it may run on into the next block.
+@pytest.mark.parametrize("row", ["s2,hr,1_0,25", '"s\n2",hr,5,25'],
+                         ids=["1_0", "quoted-line-break"])
+def test_a_block_numpy_refuses_alone_goes_to_csv_reader(tmp_path, monkeypatch,
+                                                        row):
+    # csv.reader reads that block, and no further than the record it
+    # leaves open; np.loadtxt parses the next block again.
     rows = [f"s{i // 10},hr,{i % 10},{i}" for i in range(40)]
     rows[25] = row
     path = _write(tmp_path / "d.csv", "series_id,channel,t,value\n"
@@ -326,8 +338,25 @@ def test_only_a_quote_hands_the_rest_of_the_file_to_csv_reader(
     calls = _count_records_calls(monkeypatch)
     got = _outcome(read_data_csv, path)
     assert len(calls) == 2 and parsed.count(False) == 1
-    assert parsed[-1] == parsed_after
+    after = parsed[parsed.index(False) + 1:]
+    assert after and all(after)
     assert got == _outcome(naive_csv.read_data_csv, path)
+
+
+@pytest.mark.parametrize("block", [1, 16, 64, 2**18])
+def test_a_quoted_line_end_in_a_value_is_read_as_csv_reader_reads_it(
+        tmp_path, monkeypatch, block):
+    # float() reads "20\n" as 20.0. np.loadtxt closes a quote left open at
+    # the end of its input, so a block that ends inside the quote must not
+    # be read as a whole record.
+    rows = [f"s{i // 10},hr,{i % 10},{i}\n" for i in range(60)]
+    rows[20] = 's2,hr,0,"20\n"\n'
+    path = _write(tmp_path / "d.csv",
+                  "series_id,channel,t,value\n" + "".join(rows))
+    monkeypatch.setattr(data_io, "BLOCK_CHARS", block)
+    got = _outcome(read_data_csv, path)
+    assert got == _outcome(naive_csv.read_data_csv, path)
+    assert read_data_csv(path).series[2].values[0, 0] == 20
 
 
 def test_an_int_read_through_a_float_falls_back(tmp_path, monkeypatch):
