@@ -22,7 +22,7 @@ from .core import (Dataset, PipelineConfig, Variation, ingest_filter,
 from .data_io import (csv_row, read_config_file, read_data_csv,
                       read_features_csv, read_labels_csv, write_features_csv)
 from .errors import DataError, NumericError, UsageError
-from .evaluate import cross_validate, kfold_split
+from .evaluate import cross_validate, detect_task, kfold_split
 from .features import anova_f_rank
 from .model_io import load_model, save_model
 from .pipeline import (FittedModel, fit_pipeline, pattern_spans,
@@ -233,6 +233,26 @@ def cmd_inspect(args) -> int:
         raise UsageError(f"--period-minutes must be a finite number > 0 that "
                          f"keeps every duration finite, got "
                          f"{args.period_minutes!r}")
+    # Every input is read and checked before the report's first line.
+    by_name = {c.name: c for c in final_cols}
+    if args.labels:
+        matrix = read_features_csv(args.features)
+        labels = read_labels_csv(args.labels)
+        rows = [i for i, sid in enumerate(matrix.ids) if sid in labels]
+        if not rows:
+            raise DataError("no feature rows have labels")
+        keep_cols = [j for j, name in enumerate(matrix.names) if name in by_name]
+        values = matrix.values[np.ix_(rows, keep_cols)]
+        names = [matrix.names[j] for j in keep_cols]
+        y = [labels[matrix.ids[i]].label for i in rows]
+        ranked = anova_f_rank(values, y, names=names)
+    else:
+        ranked = [(c.name, None) for c in final_cols if c.is_pattern]
+    top = ranked[:max(args.top, 0)]
+    shown = [by_name[name] for name, _ in top]
+    if args.data:
+        spans = pattern_spans(model, read_data_csv(args.data), shown)
+
     print(f"model: K={config.K} W={config.W} "
           f"variations={','.join(v.value for v in config.variations)} "
           f"mode={config.multivariate_mode.value}")
@@ -255,24 +275,7 @@ def cmd_inspect(args) -> int:
     if args.top <= 0:
         return 0
 
-    by_name = {c.name: c for c in final_cols}
-    if args.labels:
-        matrix = read_features_csv(args.features)
-        labels = read_labels_csv(args.labels)
-        rows = [i for i, sid in enumerate(matrix.ids) if sid in labels]
-        if not rows:
-            raise DataError("no feature rows have labels")
-        keep_cols = [j for j, name in enumerate(matrix.names) if name in by_name]
-        values = matrix.values[np.ix_(rows, keep_cols)]
-        names = [matrix.names[j] for j in keep_cols]
-        y = [labels[matrix.ids[i]].label for i in rows]
-        ranked = anova_f_rank(values, y, names=names)
-    else:
-        ranked = [(c.name, None) for c in final_cols if c.is_pattern]
-
-    top = ranked[:args.top]
     print(f"top {len(top)} features" + (" by ANOVA F:" if args.labels else ":"))
-    shown = [by_name[name] for name, _ in top]
     for desc, (name, score) in zip(shown, top):
         f_text = f"  F={score:.6g}" if score is not None else ""
         steps = len(desc.decoded)
@@ -281,8 +284,6 @@ def cmd_inspect(args) -> int:
               f"values={_value_ranges(model, desc)}{f_text}")
 
     if args.data:
-        dataset = read_data_csv(args.data)
-        spans = pattern_spans(model, dataset, shown)
         for desc in shown:
             per_series = spans[desc.name]
             total = sum(len(v) for v in per_series.values())
@@ -302,15 +303,6 @@ def cmd_inspect(args) -> int:
 
 # ---------------------------------------------------------------------------
 # evaluate
-
-def _detect_task(labels: list[str]) -> str:
-    for lab in labels:
-        try:
-            float(lab)
-        except ValueError:
-            return "classification"
-    return "regression"
-
 
 def _parse_grid(raw: str | None, flag: str) -> list[int] | None:
     if not raw:
@@ -343,9 +335,7 @@ def cmd_evaluate(args) -> int:
     dropped = len(dataset) - len(labeled)
     if len(labeled) == 0:
         raise DataError("no labeled series to evaluate")
-    task = args.task
-    if task == "auto":
-        task = _detect_task([str(ts.label) for ts in labeled])
+    task = detect_task(labeled) if args.task == "auto" else args.task
     group_ids = [ts.group_id for ts in labeled] if args.group_aware else None
     plan = kfold_split(labeled.ids, args.folds, seed=args.seed,
                        group_ids=group_ids)

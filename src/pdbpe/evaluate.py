@@ -215,6 +215,16 @@ def _series_labels(dataset: Dataset, task: str) -> list:
     return labels
 
 
+def detect_task(dataset: Dataset) -> str:
+    """"regression" when every series' label is one that regression
+    accepts, a finite number, else "classification"."""
+    try:
+        _series_labels(dataset, "regression")
+    except DataError:
+        return "classification"
+    return "regression"
+
+
 def score_split(train_X, y_train, test_X, y_test, task: str, metric: str,
                 knn_k: int = 5, ridge_lambda: float = 1.0,
                 positive_label: str | None = None) -> float:

@@ -637,9 +637,29 @@ def test_evaluate_non_finite_regression_label_is_data_error(
         tmp_path, capsys, monkeypatch, bad):
     labels = [str(i % 3) for i in range(12)]
     labels[5] = bad
-    code, err = _evaluate_rejected(tmp_path, capsys, monkeypatch, labels, [])
+    code, err = _evaluate_rejected(tmp_path, capsys, monkeypatch, labels,
+                                   ["--task", "regression"])
     assert code == 2
     assert f"series 's5': label '{bad}' is not a finite number" in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_evaluate_auto_task_is_regression_only_for_finite_labels(
+        tmp_path, capsys, bad):
+    data, _ = _write_motif_corpus(tmp_path, n=12)
+    labels = tmp_path / "labels.csv"
+    labels.write_text("series_id,label\n" + "".join(
+        f"s{i},{bad if i == 5 else i % 3}\n" for i in range(12)))
+    reports = []
+    for task in ("auto", "classification"):
+        report = tmp_path / f"{task}.txt"
+        assert main(["evaluate", "--data", data, "--labels", str(labels),
+                     "--k", "4", "--w", "3", "--folds", "3", "--task", task,
+                     "--report-out", str(report)]) == 0
+        reports.append(report.read_text())
+    capsys.readouterr()
+    assert "task: classification" in reports[0]
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("lam", ["nan", "-1", "inf"])
@@ -878,7 +898,8 @@ def test_centroid_flow_through_cli(tmp_path, capsys):
 def test_centroid_transform_names_the_series_without_a_group(centroid_model,
                                                              capsys):
     tmp, data, labels, _ = centroid_model
-    rows = open(labels).read().splitlines()
+    with open(labels) as fh:
+        rows = fh.read().splitlines()
     # Blank the group ids of s5 and s6 (rows 6 and 7 after the header).
     for i in (6, 7):
         rows[i] = rows[i].rsplit(",", 1)[0] + ","

@@ -2,6 +2,8 @@
 data with no series, and the error paths of the labels and feature CSV
 readers. Each pins the exit code and the whole message."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -315,6 +317,25 @@ def test_bad_feature_csv_is_data_error(tmp_path, capsys, fitted, edit,
     assert _inspect(fitted, path) == 2
     assert capsys.readouterr().err == "pdbpe: data error: " + message.format(
         path=path, n=n, m=n + 1) + "\n"
+
+
+def test_inspect_prints_nothing_before_its_inputs_pass(tmp_path, capsys,
+                                                       fitted):
+    data, labels, model, features = fitted
+    nan_features = _edited_features(
+        tmp_path, fitted,
+        lambda lines: lines[:1] + [_set_field(lines[1], 1, "nan")] + lines[2:])
+    lines = pathlib.Path(data).read_text().splitlines(keepends=True)
+    bad_data = _write_text(tmp_path / "bad.csv", "".join(
+        lines[:1] + [_set_field(lines[1], 3, "oops\n")] + lines[2:]))
+    for flags, message in [
+            (["--features", nan_features],
+             f"{nan_features}:2: value must be finite, got 'nan'"),
+            (["--features", features, "--data", bad_data],
+             f"{bad_data}:2: value must be a number, got 'oops'")]:
+        assert main(["inspect", "--model", model, "--labels", labels,
+                     "--top", "3", *flags]) == 2
+        assert capsys.readouterr() == ("", f"pdbpe: data error: {message}\n")
 
 
 def test_blank_line_in_feature_csv_is_skipped(tmp_path, capsys, fitted):
