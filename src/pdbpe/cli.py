@@ -221,7 +221,7 @@ def _value_ranges(model: FittedModel, desc) -> str:
 
 
 def cmd_inspect(args) -> int:
-    if args.labels and not args.features:
+    if bool(args.labels) != bool(args.features):
         raise UsageError("ranking needs --features together with --labels")
     if args.spans_out and not args.data:
         raise UsageError("--spans-out needs --data to locate occurrences")

@@ -102,22 +102,49 @@ def ridge_fit_predict(train_X, y_train, test_X, lam: float) -> np.ndarray:
     return test_Z @ w + y_mean
 
 
+_KNN_CELLS = 1 << 14
+
+
 def _neighbours(train_X, test_X, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and distances of the k nearest training rows (Euclidean;
-    distance ties keep training row order) of every test row, as two
-    (n_test x k) arrays in neighbour order. A distance adds its squared
-    differences column by column, left to right, in either layout of a
-    train_X of two or more rows (a C-ordered one is copied once)."""
-    train_X = np.asarray(train_X, dtype=np.float64, order="F")
-    if not 1 <= k <= len(train_X):
-        raise DataError(f"k-NN: knn_k={k} outside [1, {len(train_X)}]")
+    """(n_test x k) indices and distances of the k nearest training rows of
+    every test row, in neighbour order (Euclidean; ties keep row order).
+
+    Only the exact distance decides: squares added left to right by cumsum
+    (pairwise for a one-row train_X, as numpy sums a row). Blocks of about
+    _KNN_CELLS cells (n to screen and k*f to recompute per query) screen it
+    with approx = |q|^2 + |t|^2 - 2 q.t from einsum. With S = |q|^2 + |t|^2
+    and u = eps/2, approx is within (2f + 3)u*S of the squared distance D,
+    and the exact sum within (f + 2)u*D <= 2(f + 2)u*S, in any order (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1).
+    The margin 8(f + 2)eps*(S + tiny) is over twice that, enough for
+    underflow and for squares whose roots round alike. Rows whose approx -
+    margin exceeds the query's k-th smallest approx + margin are dropped.
+    """
+    train_X = np.asarray(train_X, dtype=np.float64)
+    n, f = train_X.shape
+    if not 1 <= k <= n:
+        raise DataError(f"k-NN: knn_k={k} outside [1, {n}]")
+    if n == 1 or f == 0:
+        d = np.sqrt(np.square(train_X[0] - test_X).sum(axis=1))
+        return np.tile(np.arange(k), (len(d), 1)), np.tile(d[:, None], k)
     index = np.empty((len(test_X), k), dtype=np.intp)
     dist = np.empty(index.shape)
-    for row, query in enumerate(test_X):
-        diffs = train_X - query
-        d = np.sqrt((diffs * diffs).sum(axis=1))
-        index[row] = np.argsort(d, kind="stable")[:k]
-        dist[row] = d[index[row]]
+    sq_train = np.einsum("ij,ij->i", train_X, train_X)
+    step = max(1, _KNN_CELLS // (n + k * f))
+    slack = 8 * (f + 2) * np.finfo(np.float64).eps
+    for lo in range(0, len(test_X), step):
+        block = np.asarray(test_X[lo:lo + step], dtype=np.float64)
+        size = np.einsum("ij,ij->i", block, block)[:, None] + sq_train
+        approx = size - 2.0 * np.einsum("ij,kj->ik", block, train_X)
+        margin = slack * (size + np.finfo(np.float64).tiny)
+        upper = np.partition(approx + margin, k - 1, axis=1)[:, k - 1:k]
+        query, row = np.nonzero(~(approx - margin > upper))
+        sq = np.square(train_X[row] - block[query])
+        d = np.sqrt(np.cumsum(sq, axis=1)[:, -1])
+        # query ascends, and row within it, so ties keep training row order.
+        take = np.lexsort((d, query))[np.searchsorted(
+            query, np.arange(len(block)))[:, None] + np.arange(k)]
+        index[lo:lo + step], dist[lo:lo + step] = row[take], d[take]
     return index, dist
 
 
@@ -238,6 +265,9 @@ def score_split(train_X, y_train, test_X, y_test, task: str, metric: str,
     """
     if len(y_train) != len(train_X):
         raise DataError("score_split: y_train needs one label per train_X row")
+    if np.shape(test_X)[-1] != np.shape(train_X)[-1]:
+        raise DataError(f"score_split: test_X has {np.shape(test_X)[-1]} "
+                        f"columns but train_X has {np.shape(train_X)[-1]}")
     if task == "regression":
         return rmse(y_test, ridge_fit_predict(train_X, y_train, test_X,
                                               ridge_lambda))

@@ -338,6 +338,24 @@ def test_inspect_prints_nothing_before_its_inputs_pass(tmp_path, capsys,
         assert capsys.readouterr() == ("", f"pdbpe: data error: {message}\n")
 
 
+def test_inspect_features_without_labels_is_usage_error(tmp_path, capsys,
+                                                        fitted):
+    # The file is never read, so neither its nan nor its unknown column
+    # decides the exit code.
+    model = fitted[2]
+    bad = _edited_features(
+        tmp_path, fitted,
+        lambda lines: [lines[0].rstrip("\n") + ",no.such.column\n"]
+        + [_set_field(line.rstrip("\n"), 1, "nan") + ",0\n"
+           for line in lines[1:]])
+    for top in ("3", "0"):
+        assert main(["inspect", "--model", model, "--features", bad,
+                     "--top", top]) == 1
+        assert capsys.readouterr() == (
+            "", "pdbpe: error: ranking needs --features together "
+                "with --labels\n")
+
+
 def test_blank_line_in_feature_csv_is_skipped(tmp_path, capsys, fitted):
     assert _inspect(fitted, fitted[3]) == 0
     plain = capsys.readouterr().out

@@ -11,11 +11,12 @@ import pytest
 
 from pdbpe import (DataError, Dataset, NumericError, PipelineConfig,
                    TimeSeries, UsageError, cross_validate)
-from pdbpe import pipeline
+from pdbpe import evaluate, pipeline
 from pdbpe.core import MultivariateMode, Variation
 from pdbpe.evaluate import (CvPlan, _neighbours, accuracy, auc_roc,
                             kfold_split, ridge_fit_predict, rmse, score_split)
 from pdbpe.model_io import fingerprint_model
+from naive_knn import naive_neighbours
 from synth import motif_dataset, random_dataset
 
 
@@ -164,15 +165,6 @@ def test_knn_matches_brute_force_oracle():
             auc_roc(y_bin, [share for _, share in want])
 
 
-def _column_loop_neighbours(train_X, query, k):
-    acc = np.zeros(len(train_X))
-    for j in range(train_X.shape[1]):
-        acc += (train_X[:, j] - query[j]) ** 2
-    d = np.sqrt(acc)
-    index = np.argsort(d, kind="stable")[:k]
-    return index, d[index]
-
-
 @pytest.mark.parametrize("layout", ["F", "C"])
 def test_neighbours_sum_each_query_column_by_column(layout):
     rng = np.random.default_rng(23)
@@ -184,10 +176,53 @@ def test_neighbours_sum_each_query_column_by_column(layout):
         test_X = np.vstack([rng.normal(size=(3, f)) * scale[0], train_X[:2]])
         k = int(rng.integers(1, n + 1))
         index, dist = _neighbours(np.asarray(train_X, order=layout), test_X, k)
-        for row, query in enumerate(test_X):
-            want_index, want_dist = _column_loop_neighbours(train_X, query, k)
-            assert index[row].tolist() == want_index.tolist()
-            assert dist[row].tobytes() == want_dist.tobytes()
+        want_index, want_dist = naive_neighbours(train_X, test_X, k)
+        assert index.tolist() == want_index.tolist()
+        assert dist.tobytes() == want_dist.tobytes()
+
+
+def _knn_fuzz_case(rng):
+    """train_X, test_X and k of one case: rows of one of four kinds, a third
+    of the training rows copies of the first, and three queries copied from
+    training rows."""
+    n, f = int(rng.integers(2, 40)), int(rng.integers(0, 30))
+    size = (n + int(rng.integers(1, 9)), f)
+    kind = rng.integers(4)
+    if kind == 0:  # counts: many exact ties
+        X = rng.integers(0, 3, size=size).astype(np.float64)
+    elif kind == 1:  # near-ties far from the origin
+        X = 1e6 * rng.normal(size=f) + 2.0 ** -30 * rng.integers(0, 3, size)
+    elif kind == 2:  # columns scaled from 1e-6 to 1e6
+        X = rng.normal(size=size) * 10.0 ** rng.integers(-6, 7, size=f)
+    else:  # values a few ulps apart
+        ulps = rng.integers(0, 4, size=size) * np.finfo(np.float64).eps
+        X = (1.0 + ulps) * rng.normal(size=f)
+    train_X = np.asfortranarray(X[:n])
+    train_X[rng.integers(0, n, size=n // 3)] = train_X[0]
+    test_X = np.vstack([X[n:], train_X[rng.integers(0, n, size=3)]])
+    return train_X, test_X, int(rng.integers(1, n + 1))
+
+
+def test_neighbours_match_the_per_query_loop(monkeypatch):
+    rng = np.random.default_rng(28)
+    for _ in range(1200):
+        train_X, test_X, k = _knn_fuzz_case(rng)
+        # Blocks of one to three queries: every call screens several.
+        n, f = train_X.shape
+        monkeypatch.setattr(evaluate, "_KNN_CELLS",
+                            int(rng.integers(1, 4)) * (n + k * f))
+        index, dist = _neighbours(train_X, test_X, k)
+        want_index, want_dist = naive_neighbours(train_X, test_X, k)
+        assert index.tolist() == want_index.tolist()
+        assert dist.tobytes() == want_dist.tobytes()
+
+
+def test_neighbours_rank_distances_after_the_square_root():
+    # Squared distances 1 + 2**-52 and 1 have the same square root, so the
+    # two rows tie and keep training row order.
+    train_X = np.array([[1.0, 2.0 ** -26], [1.0, 0.0], [0.0, 3.0]])
+    index, dist = _neighbours(train_X, np.zeros((1, 2)), 2)
+    assert index.tolist() == [[0, 1]] and dist.tolist() == [[1.0, 1.0]]
 
 
 def test_neighbours_of_one_training_row_sum_pairwise():
@@ -209,9 +244,20 @@ def test_neighbours_copies_no_fortran_input():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # One query holds its differences and their squares; a copy of
-    # train_X would be a third block of the same size.
-    assert peak < 2.5 * train_X.nbytes
+    # The screen's arrays for one query over 4,000 rows take under half of
+    # train_X's size, so a copy of train_X alone would exceed the bound.
+    assert peak < train_X.nbytes
+
+
+@pytest.mark.parametrize("task, y_train, metric", [
+    ("classification", ["a", "b", "a", "b"], "accuracy"),
+    ("regression", [0.0, 1.0, 2.0, 3.0], "rmse")])
+def test_score_split_names_both_column_counts(task, y_train, metric):
+    train_X = np.arange(12.0).reshape(4, 3)
+    with pytest.raises(DataError, match="^score_split: test_X has 2 columns "
+                                        "but train_X has 3$"):
+        score_split(train_X, y_train, train_X[:2, :2], y_train[:2], task,
+                    metric, knn_k=1)
 
 
 def test_knn_vote_tie_breaks_on_mean_distance_then_label():
